@@ -143,7 +143,8 @@ fn main() {
         // runs tell the same story.
         let mut config = DispatcherConfig::default();
         if gpu_fault > 0.0 {
-            config = config.with_gpu_faults(FaultPlan::transient(42, gpu_fault).with_jitter(1e-4));
+            config = config
+                .with_device_faults("gpu", FaultPlan::transient(42, gpu_fault).with_jitter(1e-4));
         }
         let dispatcher = Dispatcher::new(engine, config);
         for (kernel, binding) in &targets {
@@ -153,7 +154,7 @@ fn main() {
                 .expect("kernel came from the database and the host is healthy");
             explanations.push(explanation);
         }
-        dispatcher.publish_health();
+        dispatcher.publish_health_all();
         dispatcher.engine().publish_stats();
         stats = dispatcher.engine().stats();
     } else {

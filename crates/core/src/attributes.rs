@@ -47,14 +47,26 @@ pub struct RegionAttributes {
     pub symbols: SymbolTable,
     /// The host model, fully compiled: evaluation only binds runtime values.
     pub cpu_model: CompiledCpuModel,
-    /// The *primary* accelerator's model, fully compiled. (The platform's
-    /// own accelerator parameters when compiled under a host-only fleet,
-    /// so the pair view always has a GPU model to answer with.)
+    /// The *primary* accelerator's model, fully compiled. (Compiled from
+    /// the platform's own accelerator parameters under a host-only fleet,
+    /// whose decisions never consult it.)
     pub gpu_model: CompiledGpuModel,
     /// Compiled models for the fleet's remaining accelerators, in fleet id
     /// order: `extra_accel_models[i]` belongs to `DeviceId(i + 2)`. Empty
     /// for the classic pair.
     pub extra_accel_models: Vec<CompiledGpuModel>,
+}
+
+impl RegionAttributes {
+    /// The compiled model of fleet accelerator `index` (0 is the primary
+    /// `gpu_model`, `i` is `extra_accel_models[i - 1]`), or `None` when
+    /// the region carries no model for it.
+    pub(crate) fn accel_model(&self, index: usize) -> Option<&CompiledGpuModel> {
+        match index {
+            0 => Some(&self.gpu_model),
+            i => self.extra_accel_models.get(i - 1),
+        }
+    }
 }
 
 /// A borrowed compiled model, resolved per `(RegionId, DeviceId)` by
@@ -210,10 +222,8 @@ impl AttributeDatabase {
         let attrs = self.region_by_id(region)?;
         match device.0 {
             0 => Some(CompiledModelRef::Host(&attrs.cpu_model)),
-            1 => Some(CompiledModelRef::Accelerator(&attrs.gpu_model)),
             n => attrs
-                .extra_accel_models
-                .get(usize::from(n) - 2)
+                .accel_model(usize::from(n) - 1)
                 .map(CompiledModelRef::Accelerator),
         }
     }

@@ -42,7 +42,7 @@ use std::time::Duration;
 use crate::attributes::RegionAttributes;
 use crate::explain::{DispatchTerms, Explanation};
 use crate::fleet::DeviceId;
-use crate::selector::{Decision, DecisionEngine, DecisionRequest, Device};
+use crate::selector::{Decision, DecisionEngine, DecisionRequest};
 use hetsel_fault::{FaultKind, FaultPlan, InjectedFailure};
 use hetsel_ir::Binding;
 use parking_lot::Mutex;
@@ -88,20 +88,15 @@ impl Default for RetryConfig {
     }
 }
 
-/// Full dispatcher configuration: one fault plan per device plus breaker
+/// Full dispatcher configuration: fault plans by device label plus breaker
 /// and retry tuning. The default injects no faults at all.
 #[derive(Debug, Clone, Default)]
 pub struct DispatcherConfig {
-    /// Fault plan applied to the *primary* accelerator's execution attempts
-    /// (fleet id 1). Further accelerators default to no faults; target them
-    /// by label with [`DispatcherConfig::with_device_faults`].
-    pub gpu_faults: FaultPlan,
-    /// Fault plan applied to host execution attempts.
-    pub cpu_faults: FaultPlan,
-    /// Per-label fault-plan overrides, applied after `gpu_faults` /
-    /// `cpu_faults`. Labels must name devices registered in the engine's
-    /// fleet ([`Dispatcher::new`] panics otherwise — a plan for a device
-    /// that does not exist is a configuration bug).
+    /// Fault plans by fleet device label (the classic pair's labels are
+    /// `host` and `gpu`); a later entry for the same label wins, and
+    /// unnamed devices run fault-free. Labels must name devices registered
+    /// in the engine's fleet ([`Dispatcher::new`] panics otherwise — a
+    /// plan for a device that does not exist is a configuration bug).
     pub device_faults: Vec<(String, FaultPlan)>,
     /// Circuit-breaker tuning (shared by every device).
     pub breaker: BreakerConfig,
@@ -110,18 +105,6 @@ pub struct DispatcherConfig {
 }
 
 impl DispatcherConfig {
-    /// Builder: inject `plan` on the primary accelerator's attempts.
-    pub fn with_gpu_faults(mut self, plan: FaultPlan) -> DispatcherConfig {
-        self.gpu_faults = plan;
-        self
-    }
-
-    /// Builder: inject `plan` on host attempts.
-    pub fn with_cpu_faults(mut self, plan: FaultPlan) -> DispatcherConfig {
-        self.cpu_faults = plan;
-        self
-    }
-
     /// Builder: inject `plan` on the attempts of the fleet device labelled
     /// `label` (any device, the host included).
     pub fn with_device_faults(mut self, label: &str, plan: FaultPlan) -> DispatcherConfig {
@@ -192,19 +175,19 @@ pub enum FallbackReason {
     DeadlineExceeded,
     /// A breaker rejected the request on this device.
     BreakerOpen {
-        /// The device kind whose breaker was open.
-        device: Device,
+        /// The fleet device whose breaker was open.
+        device: DeviceId,
     },
     /// The device had no in-flight capacity left; the request spilled to
     /// the next candidate.
     CapacityExhausted {
-        /// The device kind that was at capacity.
-        device: Device,
+        /// The fleet device that was at capacity.
+        device: DeviceId,
     },
     /// The device exhausted its attempts (or faulted permanently).
     DeviceFault {
-        /// The faulting device kind.
-        device: Device,
+        /// The faulting fleet device.
+        device: DeviceId,
         /// The final fault kind on that device.
         kind: FaultKind,
     },
@@ -239,13 +222,13 @@ impl std::fmt::Display for FallbackReason {
         match self {
             FallbackReason::DeadlineExceeded => write!(f, "decision deadline exceeded"),
             FallbackReason::BreakerOpen { device } => {
-                write!(f, "{device} breaker open")
+                write!(f, "device {device} breaker open")
             }
             FallbackReason::CapacityExhausted { device } => {
-                write!(f, "{device} capacity exhausted")
+                write!(f, "device {device} capacity exhausted")
             }
             FallbackReason::DeviceFault { device, kind } => {
-                write!(f, "{kind} fault on {device}")
+                write!(f, "{kind} fault on device {device}")
             }
         }
     }
@@ -259,10 +242,8 @@ pub struct DispatchOutcome {
     /// The decision that routed the request (deadline degradation
     /// included).
     pub decision: Decision,
-    /// The kind of device the request finally ran on (may differ from
-    /// `decision.device` after a fallback).
-    pub device: Device,
-    /// Fleet id of the device the request finally ran on.
+    /// Fleet id of the device the request finally ran on (may differ from
+    /// `decision.device_id` after a fallback).
     pub device_id: DeviceId,
     /// Interned fleet label of the device the request finally ran on.
     pub device_name: Arc<str>,
@@ -328,8 +309,6 @@ impl std::error::Error for DispatchError {}
 /// Point-in-time view of one device's health.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceHealthSnapshot {
-    /// The kind of device observed.
-    pub device: Device,
     /// Fleet id of the device observed.
     pub device_id: DeviceId,
     /// Current breaker state.
@@ -366,7 +345,6 @@ struct BreakerCore {
 struct DeviceHealth {
     id: DeviceId,
     label: Arc<str>,
-    device: Device,
     capacity: u32,
     inflight: AtomicU32,
     core: Mutex<BreakerCore>,
@@ -376,13 +354,7 @@ struct DeviceHealth {
 }
 
 impl DeviceHealth {
-    fn new(
-        id: DeviceId,
-        label: Arc<str>,
-        device: Device,
-        capacity: u32,
-        cfg: &BreakerConfig,
-    ) -> DeviceHealth {
+    fn new(id: DeviceId, label: Arc<str>, capacity: u32, cfg: &BreakerConfig) -> DeviceHealth {
         hetsel_obs::registry()
             .gauge(&hetsel_obs::metrics::device_leaf_metric_name(
                 "hetsel.core.breaker",
@@ -393,7 +365,6 @@ impl DeviceHealth {
         DeviceHealth {
             id,
             label,
-            device,
             capacity,
             inflight: AtomicU32::new(0),
             core: Mutex::new(BreakerCore {
@@ -565,7 +536,6 @@ impl DeviceHealth {
     fn snapshot(&self) -> DeviceHealthSnapshot {
         let core = self.core.lock();
         DeviceHealthSnapshot {
-            device: self.device,
             device_id: self.id,
             state: core.state,
             consecutive_failures: core.consecutive_failures,
@@ -623,30 +593,15 @@ impl Dispatcher {
     /// register.
     pub fn new(engine: DecisionEngine, config: DispatcherConfig) -> Dispatcher {
         let fleet = engine.selector().fleet().clone();
-        let mut health = Vec::with_capacity(fleet.len());
-        let mut plans = Vec::with_capacity(fleet.len());
-        health.push(DeviceHealth::new(
-            DeviceId::HOST,
-            fleet.host_label_arc().clone(),
-            Device::Host,
-            fleet.host_capacity(),
-            &config.breaker,
-        ));
-        plans.push(config.cpu_faults);
-        for (i, accel) in fleet.accelerators().iter().enumerate() {
-            health.push(DeviceHealth::new(
-                DeviceId((i + 1) as u16),
-                accel.label_arc().clone(),
-                Device::Gpu,
-                accel.capacity,
-                &config.breaker,
-            ));
-            plans.push(if i == 0 {
-                config.gpu_faults
-            } else {
-                FaultPlan::none()
-            });
-        }
+        let health: Vec<DeviceHealth> = fleet
+            .device_ids()
+            .map(|id| {
+                let label = fleet.label_arc(id).expect("fleet ids resolve").clone();
+                let capacity = fleet.capacity(id).expect("fleet ids resolve");
+                DeviceHealth::new(id, label, capacity, &config.breaker)
+            })
+            .collect();
+        let mut plans = vec![FaultPlan::none(); fleet.len()];
         for (label, plan) in &config.device_faults {
             let id = fleet.device_id_of(label).unwrap_or_else(|| {
                 panic!("device_faults label `{label}` is not registered in the engine's fleet")
@@ -673,55 +628,16 @@ impl Dispatcher {
         &self.config
     }
 
-    /// Current breaker state of the kind-level `device` view: the host, or
-    /// the *primary* accelerator for [`Device::Gpu`] (`Closed` when the
-    /// fleet has none — a breaker that cannot trip never opens).
-    pub fn breaker_state(&self, device: Device) -> BreakerState {
-        match self.health_of(device) {
-            Some(health) => health.core.lock().state,
-            None => BreakerState::Closed,
-        }
-    }
-
     /// Current breaker state of the fleet device `id`, or `None` for an
     /// unregistered id.
     pub fn breaker_state_by_id(&self, id: DeviceId) -> Option<BreakerState> {
         self.health.get(id.0 as usize).map(|h| h.core.lock().state)
     }
 
-    /// Current health snapshot of the kind-level `device` view (the primary
-    /// accelerator for [`Device::Gpu`]; a synthesized always-closed snapshot
-    /// when the fleet registers no accelerator).
-    pub fn health(&self, device: Device) -> DeviceHealthSnapshot {
-        match self.health_of(device) {
-            Some(health) => health.snapshot(),
-            None => DeviceHealthSnapshot {
-                device,
-                device_id: DeviceId(1),
-                state: BreakerState::Closed,
-                consecutive_failures: 0,
-                successes: 0,
-                failures: 0,
-                trips: 0,
-                backoff: self.config.breaker.open_backoff.max(1),
-            },
-        }
-    }
-
     /// Current health snapshot of the fleet device `id`, or `None` for an
     /// unregistered id.
     pub fn health_by_id(&self, id: DeviceId) -> Option<DeviceHealthSnapshot> {
         self.health.get(id.0 as usize).map(|h| h.snapshot())
-    }
-
-    /// Re-publishes both pair-view breaker-state gauges (they are also kept
-    /// current on every transition); returns the `(host, gpu)` snapshots.
-    pub fn publish_health(&self) -> (DeviceHealthSnapshot, DeviceHealthSnapshot) {
-        for health in &self.health {
-            let snapshot = health.snapshot();
-            health.publish_state(snapshot.state);
-        }
-        (self.health(Device::Host), self.health(Device::Gpu))
     }
 
     /// Re-publishes every device's breaker-state gauge; returns one
@@ -800,13 +716,12 @@ impl Dispatcher {
 
         for id in order {
             let health = &self.health[id.0 as usize];
-            let device = health.device;
             // Capacity gates before the breaker so a spilled request never
             // consumes the device's single half-open probe slot.
             if !health.try_acquire() {
                 self.note_fallback(
                     &mut fallback,
-                    FallbackReason::CapacityExhausted { device },
+                    FallbackReason::CapacityExhausted { device: id },
                     request.region(),
                     id,
                     now,
@@ -817,7 +732,7 @@ impl Dispatcher {
                 health.release();
                 self.note_fallback(
                     &mut fallback,
-                    FallbackReason::BreakerOpen { device },
+                    FallbackReason::BreakerOpen { device: id },
                     request.region(),
                     id,
                     now,
@@ -841,7 +756,6 @@ impl Dispatcher {
                 Ok(run_s) => {
                     let outcome = DispatchOutcome {
                         decision,
-                        device,
                         device_id: id,
                         device_name: health.label.clone(),
                         attempts,
@@ -856,7 +770,7 @@ impl Dispatcher {
                     any_fault = true;
                     self.note_fallback(
                         &mut fallback,
-                        FallbackReason::DeviceFault { device, kind },
+                        FallbackReason::DeviceFault { device: id, kind },
                         request.region(),
                         id,
                         now,
@@ -885,7 +799,6 @@ impl Dispatcher {
                 Ok(run_s) => {
                     let outcome = DispatchOutcome {
                         decision,
-                        device: Device::Host,
                         device_id: DeviceId::HOST,
                         device_name: host.label.clone(),
                         attempts,
@@ -901,7 +814,7 @@ impl Dispatcher {
                     self.note_fallback(
                         &mut fallback,
                         FallbackReason::DeviceFault {
-                            device: Device::Host,
+                            device: DeviceId::HOST,
                             kind,
                         },
                         request.region(),
@@ -932,6 +845,14 @@ impl Dispatcher {
         request: &DecisionRequest,
     ) -> Result<(DispatchOutcome, Explanation), DispatchError> {
         let outcome = self.dispatch(request)?;
+        // A fleet without an accelerator has no breaker that could trip:
+        // its `gpu_breaker` reads `closed`.
+        let breaker = |id: Option<DeviceId>| {
+            id.and_then(|id| self.breaker_state_by_id(id))
+                .unwrap_or(BreakerState::Closed)
+                .name()
+                .to_string()
+        };
         let mut explanation = self
             .engine
             .explain(request.region(), request.binding())
@@ -942,8 +863,8 @@ impl Dispatcher {
             retries: outcome.retries,
             fallback: outcome.fallback.map(|f| f.metric_key().to_string()),
             simulated_s: outcome.simulated_s,
-            gpu_breaker: self.breaker_state(Device::Gpu).name().to_string(),
-            cpu_breaker: self.breaker_state(Device::Host).name().to_string(),
+            gpu_breaker: breaker(self.engine.selector().fleet().primary_accelerator()),
+            cpu_breaker: breaker(Some(DeviceId::HOST)),
         });
         if let Some(row) = hetsel_obs::accuracy().lookup(request.region(), &outcome.device_name) {
             explanation.accuracy = Some(crate::explain::AccuracyBlock::from_row(&row));
@@ -961,15 +882,6 @@ impl Dispatcher {
         deadline: Duration,
     ) -> Result<DispatchOutcome, DispatchError> {
         self.dispatch_bounded(request, Some(deadline))
-    }
-
-    /// The kind-level health view: the host record, or the *primary*
-    /// accelerator's for [`Device::Gpu`] (`None` on a host-only fleet).
-    fn health_of(&self, device: Device) -> Option<&DeviceHealth> {
-        match device {
-            Device::Gpu => self.health.get(1),
-            Device::Host => self.health.first(),
-        }
     }
 
     /// Records a fallback event: counts every occurrence, keeps the first
@@ -1017,7 +929,7 @@ impl Dispatcher {
                 hetsel_obs::DecisionEvent::new(hetsel_obs::EventKind::DispatchComplete, region);
             ev.tick = now;
             ev.device = outcome.device_id.0;
-            ev.verdict_accel = decision.device == Device::Gpu;
+            ev.verdict_accel = !decision.device_id.is_host();
             ev.detail = outcome.fallback.as_ref().map_or(0, fallback_code);
             ev.predicted_cpu_s = decision.predicted_cpu_s.unwrap_or(f64::NAN);
             ev.predicted_accel_s = decision.predicted_gpu_s.unwrap_or(f64::NAN);
@@ -1178,6 +1090,9 @@ mod tests {
     use crate::selector::{Policy, Selector};
     use hetsel_polybench::{find_kernel, Dataset};
 
+    /// The primary accelerator of every fleet in these tests.
+    const GPU: DeviceId = DeviceId(1);
+
     fn engine() -> DecisionEngine {
         let (k, _) = find_kernel("gemm").unwrap();
         DecisionEngine::new(
@@ -1209,12 +1124,18 @@ mod tests {
             .decide("gemm", request.binding())
             .unwrap();
         assert_eq!(outcome.decision, decision);
-        assert_eq!(outcome.device, decision.device);
+        assert_eq!(outcome.device_id, decision.device_id);
         assert!(outcome.clean());
         assert_eq!((outcome.attempts, outcome.retries), (1, 0));
         assert!(outcome.simulated_s > 0.0);
-        assert_eq!(dispatcher.breaker_state(Device::Gpu), BreakerState::Closed);
-        assert_eq!(dispatcher.breaker_state(Device::Host), BreakerState::Closed);
+        assert_eq!(
+            dispatcher.breaker_state_by_id(GPU),
+            Some(BreakerState::Closed)
+        );
+        assert_eq!(
+            dispatcher.breaker_state_by_id(DeviceId::HOST),
+            Some(BreakerState::Closed)
+        );
     }
 
     #[test]
@@ -1245,26 +1166,26 @@ mod tests {
             }
         );
         // No breaker was charged: the failure is a modelling limitation.
-        assert_eq!(dispatcher.health(Device::Gpu).failures, 0);
-        assert_eq!(dispatcher.health(Device::Host).failures, 0);
+        assert_eq!(dispatcher.health_by_id(GPU).unwrap().failures, 0);
+        assert_eq!(dispatcher.health_by_id(DeviceId::HOST).unwrap().failures, 0);
     }
 
     #[test]
     fn permanent_gpu_fault_fails_over_to_the_host() {
         let config = DispatcherConfig::default()
-            .with_gpu_faults(FaultPlan::permanent(7, 1.0))
+            .with_device_faults("gpu", FaultPlan::permanent(7, 1.0))
             .with_breaker(breaker());
         let dispatcher = Dispatcher::new(engine(), config);
         // Benchmark-size gemm decides GPU; the injected fault forces host.
         let outcome = dispatcher
             .dispatch(&gemm_request(Dataset::Benchmark))
             .unwrap();
-        assert_eq!(outcome.decision.device, Device::Gpu);
-        assert_eq!(outcome.device, Device::Host);
+        assert_eq!(outcome.decision.device_id, GPU);
+        assert_eq!(outcome.device_id, DeviceId::HOST);
         assert_eq!(
             outcome.fallback,
             Some(FallbackReason::DeviceFault {
-                device: Device::Gpu,
+                device: GPU,
                 kind: FaultKind::Permanent,
             })
         );
@@ -1274,26 +1195,27 @@ mod tests {
     #[test]
     fn breaker_opens_after_threshold_and_sheds_load() {
         let config = DispatcherConfig::default()
-            .with_gpu_faults(FaultPlan::permanent(11, 1.0))
+            .with_device_faults("gpu", FaultPlan::permanent(11, 1.0))
             .with_breaker(breaker());
         let dispatcher = Dispatcher::new(engine(), config);
         let request = gemm_request(Dataset::Benchmark);
         // Three dispatches = three GPU failures = the threshold.
         for _ in 0..3 {
             let outcome = dispatcher.dispatch(&request).unwrap();
-            assert_eq!(outcome.device, Device::Host);
+            assert_eq!(outcome.device_id, DeviceId::HOST);
         }
-        assert_eq!(dispatcher.breaker_state(Device::Gpu), BreakerState::Open);
-        assert_eq!(dispatcher.health(Device::Gpu).trips, 1);
+        assert_eq!(
+            dispatcher.breaker_state_by_id(GPU),
+            Some(BreakerState::Open)
+        );
+        assert_eq!(dispatcher.health_by_id(GPU).unwrap().trips, 1);
         // While open, the GPU is not even attempted: the fallback reason
         // becomes BreakerOpen and the host serves directly.
         let outcome = dispatcher.dispatch(&request).unwrap();
-        assert_eq!(outcome.device, Device::Host);
+        assert_eq!(outcome.device_id, DeviceId::HOST);
         assert_eq!(
             outcome.fallback,
-            Some(FallbackReason::BreakerOpen {
-                device: Device::Gpu
-            })
+            Some(FallbackReason::BreakerOpen { device: GPU })
         );
         assert_eq!(outcome.attempts, 1, "only the host ran");
     }
@@ -1307,7 +1229,7 @@ mod tests {
         // Simplest deterministic route: permanent faults to trip it, then
         // verify the half-open transition fires at the right logical tick.
         let config = DispatcherConfig::default()
-            .with_gpu_faults(FaultPlan::permanent(13, 1.0))
+            .with_device_faults("gpu", FaultPlan::permanent(13, 1.0))
             .with_breaker(BreakerConfig {
                 failure_threshold: 2,
                 open_backoff: 3,
@@ -1318,24 +1240,33 @@ mod tests {
         for _ in 0..2 {
             dispatcher.dispatch(&request).unwrap();
         }
-        assert_eq!(dispatcher.breaker_state(Device::Gpu), BreakerState::Open);
+        assert_eq!(
+            dispatcher.breaker_state_by_id(GPU),
+            Some(BreakerState::Open)
+        );
         let opened_at = 1u64; // second dispatch, now = 1
                               // Dispatches at now = 2, 3 are still inside the backoff window
                               // (2 and 3 < opened_at + 3 = 4): load-shed, no GPU attempt.
         for _ in 0..2 {
             let outcome = dispatcher.dispatch(&request).unwrap();
             assert_eq!(outcome.attempts, 1);
-            assert_eq!(dispatcher.breaker_state(Device::Gpu), BreakerState::Open);
+            assert_eq!(
+                dispatcher.breaker_state_by_id(GPU),
+                Some(BreakerState::Open)
+            );
         }
         // now = 4 = opened_at + backoff: half-open probe admitted; it fails
         // (p=1), so the breaker re-opens with doubled backoff.
-        let before = dispatcher.health(Device::Gpu).backoff;
+        let before = dispatcher.health_by_id(GPU).unwrap().backoff;
         let outcome = dispatcher.dispatch(&request).unwrap();
         assert!(outcome.attempts > 1, "the probe ran on the GPU");
-        assert_eq!(dispatcher.breaker_state(Device::Gpu), BreakerState::Open);
-        let after = dispatcher.health(Device::Gpu).backoff;
+        assert_eq!(
+            dispatcher.breaker_state_by_id(GPU),
+            Some(BreakerState::Open)
+        );
+        let after = dispatcher.health_by_id(GPU).unwrap().backoff;
         assert_eq!(after, (before * 2).min(8), "failed probe doubles backoff");
-        assert_eq!(dispatcher.health(Device::Gpu).trips, 2);
+        assert_eq!(dispatcher.health_by_id(GPU).unwrap().trips, 2);
         let _ = opened_at;
     }
 
@@ -1344,7 +1275,7 @@ mod tests {
         // p=1 transient: every attempt faults, so retries exhaust and the
         // request fails over. Retry accounting must show max_attempts tries.
         let config = DispatcherConfig::default()
-            .with_gpu_faults(FaultPlan::transient(17, 1.0))
+            .with_device_faults("gpu", FaultPlan::transient(17, 1.0))
             .with_retry(RetryConfig {
                 max_attempts: 3,
                 base_backoff_s: 1e-4,
@@ -1357,7 +1288,7 @@ mod tests {
         let outcome = dispatcher
             .dispatch(&gemm_request(Dataset::Benchmark))
             .unwrap();
-        assert_eq!(outcome.device, Device::Host);
+        assert_eq!(outcome.device_id, DeviceId::HOST);
         assert_eq!(outcome.attempts, 4, "3 GPU attempts + 1 host attempt");
         assert_eq!(outcome.retries, 2, "two retries after the first fault");
         // The backoff (1e-4 + 2e-4) is charged to simulated time.
@@ -1368,7 +1299,7 @@ mod tests {
         assert_eq!(
             outcome.fallback,
             Some(FallbackReason::DeviceFault {
-                device: Device::Gpu,
+                device: GPU,
                 kind: FaultKind::Transient,
             })
         );
@@ -1380,7 +1311,7 @@ mod tests {
             Dispatcher::new(
                 engine(),
                 DispatcherConfig::default()
-                    .with_gpu_faults(FaultPlan::transient(42, 0.5).with_jitter(1e-4))
+                    .with_device_faults("gpu", FaultPlan::transient(42, 0.5).with_jitter(1e-4))
                     .with_breaker(breaker()),
             )
         };
@@ -1406,7 +1337,7 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.decision.policy, Policy::AlwaysOffload);
         assert_eq!(outcome.fallback, Some(FallbackReason::DeadlineExceeded));
-        assert_eq!(outcome.device, Device::Gpu, "compiler default offloads");
+        assert_eq!(outcome.device_id, GPU, "compiler default offloads");
         assert!(outcome.simulated_s > 0.0, "the request still completed");
     }
 
@@ -1422,8 +1353,8 @@ mod tests {
         // threshold=1 trips the host breaker on the first host-decided
         // dispatch; after that a forced probe must still reach the host.
         let config = DispatcherConfig::default()
-            .with_cpu_faults(FaultPlan::transient(5, 1.0))
-            .with_gpu_faults(FaultPlan::permanent(6, 1.0))
+            .with_device_faults("host", FaultPlan::transient(5, 1.0))
+            .with_device_faults("gpu", FaultPlan::permanent(6, 1.0))
             .with_retry(RetryConfig {
                 max_attempts: 1,
                 base_backoff_s: 0.0,
@@ -1438,14 +1369,20 @@ mod tests {
         // Everything faults: the dispatch fails, both breakers trip.
         let err = dispatcher.dispatch(&request).unwrap_err();
         assert!(matches!(err, DispatchError::AllDevicesFailed { .. }));
-        assert_eq!(dispatcher.breaker_state(Device::Gpu), BreakerState::Open);
-        assert_eq!(dispatcher.breaker_state(Device::Host), BreakerState::Open);
+        assert_eq!(
+            dispatcher.breaker_state_by_id(GPU),
+            Some(BreakerState::Open)
+        );
+        assert_eq!(
+            dispatcher.breaker_state_by_id(DeviceId::HOST),
+            Some(BreakerState::Open)
+        );
         // Next dispatch: both breakers reject, but the host is force-probed
         // anyway (and faults again — the guarantee is the *attempt*).
-        let before = dispatcher.health(Device::Host).failures;
+        let before = dispatcher.health_by_id(DeviceId::HOST).unwrap().failures;
         let _ = dispatcher.dispatch(&request).unwrap_err();
         assert!(
-            dispatcher.health(Device::Host).failures > before,
+            dispatcher.health_by_id(DeviceId::HOST).unwrap().failures > before,
             "the forced host probe executed despite the open breaker"
         );
     }
@@ -1462,13 +1399,14 @@ mod tests {
             assert_eq!(outcome.retries, 0);
             assert_eq!(outcome.attempts, 1);
         }
-        for device in [Device::Gpu, Device::Host] {
-            let snapshot = dispatcher.health(device);
+        for device in [GPU, DeviceId::HOST] {
+            let snapshot = dispatcher.health_by_id(device).unwrap();
             assert_eq!(snapshot.failures, 0, "{device}");
             assert_eq!(snapshot.trips, 0, "{device}");
         }
         assert_eq!(
-            dispatcher.health(Device::Gpu).successes + dispatcher.health(Device::Host).successes,
+            dispatcher.health_by_id(GPU).unwrap().successes
+                + dispatcher.health_by_id(DeviceId::HOST).unwrap().successes,
             3
         );
     }
@@ -1503,11 +1441,10 @@ mod tests {
         );
         assert_eq!(&*outcome.device_name, "v100", "the peer absorbs the spill");
         assert_eq!(outcome.device_id, DeviceId(2));
-        assert_eq!(outcome.device, Device::Gpu);
         assert!(matches!(
             outcome.fallback,
             Some(FallbackReason::DeviceFault {
-                device: Device::Gpu,
+                device: GPU,
                 kind: FaultKind::Permanent,
             })
         ));
@@ -1549,9 +1486,7 @@ mod tests {
         assert_eq!(&*outcome.device_name, "v100");
         assert!(matches!(
             outcome.fallback,
-            Some(FallbackReason::BreakerOpen {
-                device: Device::Gpu
-            })
+            Some(FallbackReason::BreakerOpen { device: GPU })
         ));
         assert_eq!(outcome.attempts, 1, "only the healthy peer ran");
         let snapshots = dispatcher.publish_health_all();
@@ -1578,9 +1513,7 @@ mod tests {
         assert_eq!(&*outcome.device_name, "v100");
         assert_eq!(
             outcome.fallback,
-            Some(FallbackReason::CapacityExhausted {
-                device: Device::Gpu
-            })
+            Some(FallbackReason::CapacityExhausted { device: GPU })
         );
         assert_eq!(outcome.attempts, 1, "the gated device was never executed");
         let k80 = dispatcher.health_by_id(DeviceId(1)).unwrap();
@@ -1607,7 +1540,7 @@ mod tests {
         assert_eq!(terms.device, &*outcome.device_name);
         assert_eq!(
             terms.device,
-            outcome.device.name(),
+            outcome.decision.device.name(),
             "pair labels are host/gpu"
         );
         assert_eq!((terms.attempts, terms.retries), (1, 0));

@@ -56,40 +56,6 @@ impl std::fmt::Display for DeviceId {
     }
 }
 
-/// What class of device a [`DeviceId`] names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DeviceKind {
-    /// The host CPU — present in every fleet, the terminal fallback.
-    Host,
-    /// An offload accelerator.
-    Accelerator,
-}
-
-impl DeviceKind {
-    /// Stable lowercase name (`"host"` / `"accelerator"`), the `kind`
-    /// string in explain documents.
-    pub fn name(self) -> &'static str {
-        match self {
-            DeviceKind::Host => "host",
-            DeviceKind::Accelerator => "accelerator",
-        }
-    }
-
-    /// The kind-level [`Device`] view (every accelerator is `Device::Gpu`).
-    pub fn device(self) -> Device {
-        match self {
-            DeviceKind::Host => Device::Host,
-            DeviceKind::Accelerator => Device::Gpu,
-        }
-    }
-}
-
-impl std::fmt::Display for DeviceKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// One registered accelerator: the interned label plus everything the
 /// framework needs to model and simulate it.
 #[derive(Debug, Clone)]
@@ -280,12 +246,13 @@ impl Fleet {
         self.accel_id(0)
     }
 
-    /// What kind of device `id` names, or `None` for an unregistered id.
-    pub fn kind(&self, id: DeviceId) -> Option<DeviceKind> {
+    /// What kind of device `id` names — [`Device::Host`] or, for every
+    /// accelerator, [`Device::Gpu`] — or `None` for an unregistered id.
+    pub fn kind(&self, id: DeviceId) -> Option<Device> {
         if id.is_host() {
-            Some(DeviceKind::Host)
+            Some(Device::Host)
         } else {
-            self.accel_index(id).map(|_| DeviceKind::Accelerator)
+            self.accel_index(id).map(|_| Device::Gpu)
         }
     }
 
@@ -351,9 +318,10 @@ mod tests {
         assert_eq!(fleet.primary_accelerator(), Some(DeviceId(1)));
         let ids: Vec<DeviceId> = fleet.device_ids().collect();
         assert_eq!(ids, vec![DeviceId(0), DeviceId(1), DeviceId(2)]);
-        assert_eq!(fleet.kind(DeviceId(0)), Some(DeviceKind::Host));
-        assert_eq!(fleet.kind(DeviceId(2)), Some(DeviceKind::Accelerator));
+        assert_eq!(fleet.kind(DeviceId(0)), Some(Device::Host));
+        assert_eq!(fleet.kind(DeviceId(2)), Some(Device::Gpu));
         assert_eq!(fleet.kind(DeviceId(3)), None);
+        assert!(DeviceId::HOST.is_host() && !DeviceId(1).is_host());
     }
 
     #[test]
@@ -398,15 +366,5 @@ mod tests {
         assert_eq!(fleet.capacity(DeviceId(2)), Some(u32::MAX));
         assert_eq!(fleet.capacity(DeviceId::HOST), Some(9));
         assert_eq!(fleet.capacity(DeviceId(9)), None);
-    }
-
-    #[test]
-    fn kind_maps_to_the_legacy_device_enum() {
-        assert_eq!(DeviceKind::Host.device(), Device::Host);
-        assert_eq!(DeviceKind::Accelerator.device(), Device::Gpu);
-        assert_eq!(DeviceKind::Host.name(), "host");
-        assert_eq!(DeviceKind::Accelerator.name(), "accelerator");
-        assert!(DeviceId::HOST.is_host());
-        assert!(!DeviceId(1).is_host());
     }
 }

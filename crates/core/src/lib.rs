@@ -42,14 +42,14 @@ pub use explain::{
     validate_report_json, AccuracyBlock, BoundParam, CalibrationBlock, CpuTerms, DevicePrediction,
     DispatchTerms, ExplainReport, Explanation, GpuTerms, PhaseTimings,
 };
-pub use fleet::{AcceleratorDevice, DeviceId, DeviceKind, Fleet};
-pub use history::{AdaptiveSelector, HistoryExport, HistoryRecord, ProfileHistory};
+pub use fleet::{AcceleratorDevice, DeviceId, Fleet};
+pub use history::AdaptiveSelector;
 pub use platform::Platform;
 pub use program::{plan_program, ProgramPlan};
 pub use selector::{
-    choose_among, choose_device, geomean, Decision, DecisionCacheStats, DecisionEngine,
-    DecisionRequest, Device, DeviceChoice, Evaluation, Measured, ModelSource, Policy, Selector,
-    DEFAULT_DECISION_CACHE, DEFAULT_DECISION_SHARDS,
+    choose_among, geomean, Decision, DecisionCacheStats, DecisionEngine, DecisionRequest, Device,
+    DeviceChoice, Evaluation, Measured, ModelSource, Policy, Selector, DEFAULT_DECISION_CACHE,
+    DEFAULT_DECISION_SHARDS,
 };
 pub use snapshot::SnapshotError;
 pub use split::{best_split, SplitDecision};

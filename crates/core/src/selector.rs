@@ -19,7 +19,9 @@ use crate::calib::{BindingClass, CalibrationMode, CalibrationTag, Calibrator};
 use crate::fleet::{DeviceId, Fleet};
 use crate::platform::Platform;
 use hetsel_ir::{Binding, Kernel};
-use hetsel_models::{CoalescingMode, CostModel, CpuCostModel, GpuCostModel, ModelError, TripMode};
+use hetsel_models::{
+    CoalescingMode, CostModel, CpuCostModel, GpuCostModel, GpuModelParams, ModelError, TripMode,
+};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 
@@ -44,14 +46,6 @@ impl Device {
         match self {
             Device::Host => "host",
             Device::Gpu => "gpu",
-        }
-    }
-
-    /// The failover target when this device is unavailable.
-    pub fn other(self) -> Device {
-        match self {
-            Device::Host => Device::Gpu,
-            Device::Gpu => Device::Host,
         }
     }
 }
@@ -124,13 +118,13 @@ pub enum DeviceChoice {
 /// accelerator (index 0). An empty candidate slice (a host-only fleet) is
 /// the terminal fallback: the host, unconditionally.
 ///
-/// Centralising this is what keeps [`Selector::explain`] provably in
-/// lock-step with [`Selector::decide`] — and what makes the comparison
-/// NaN-safe: `NaN < x` is false for every `x`, so a naive `if g < c`
-/// would silently choose the host for a non-finite accelerator
-/// prediction, the opposite of the documented fallback. Ties between
-/// accelerators go to the lower index, so candidate order (fleet
-/// registration order) is part of the contract.
+/// The classic pair is the one-candidate case, `choose_among(cpu, &[gpu])`.
+/// Every verdict — decisions and explanations alike — goes through this
+/// one comparison, which is what makes it NaN-safe everywhere: `NaN < x`
+/// is false for every `x`, so a naive `if g < c` would silently choose
+/// the host for a non-finite accelerator prediction, the opposite of the
+/// documented fallback. Ties between accelerators go to the lower index,
+/// so candidate order (fleet registration order) is part of the contract.
 pub fn choose_among(host: Option<f64>, accels: &[Option<f64>]) -> DeviceChoice {
     if accels.is_empty() {
         return DeviceChoice::Host;
@@ -147,17 +141,6 @@ pub fn choose_among(host: Option<f64>, accels: &[Option<f64>]) -> DeviceChoice {
         (Some(h), Some((_, bt))) if h <= bt => DeviceChoice::Host,
         (_, Some((i, _))) => DeviceChoice::Accelerator(i),
         (_, None) => DeviceChoice::Accelerator(0), // compiler default when unresolvable
-    }
-}
-
-/// The classic two-device spelling of [`choose_among`]: offload iff a
-/// usable GPU prediction beats a usable CPU prediction, host iff the CPU
-/// prediction is at least as fast, and the compiler default (offload)
-/// whenever either side is missing or not a comparable number.
-pub fn choose_device(cpu: Option<f64>, gpu: Option<f64>) -> Device {
-    match choose_among(cpu, &[gpu]) {
-        DeviceChoice::Host => Device::Host,
-        DeviceChoice::Accelerator(_) => Device::Gpu,
     }
 }
 
@@ -190,6 +173,19 @@ impl CalibContext {
     pub(crate) fn accel_factor(&self, idx: usize) -> f64 {
         self.accel_factors.get(idx).copied().unwrap_or(1.0)
     }
+}
+
+/// The per-candidate evidence behind a verdict that a [`Decision`] does
+/// not carry — what [`Selector::explain`] reports for every candidate.
+pub(crate) struct Evidence {
+    /// Position of the representative candidate (the one behind
+    /// [`Decision::predicted_gpu_s`]); `None` when there is no candidate.
+    pub(crate) rep: Option<usize>,
+    /// Effective prediction per candidate: corrected in Active mode, raw
+    /// otherwise.
+    pub(crate) accel_s: Vec<Option<f64>>,
+    /// Fleet accelerator index and model failure per candidate.
+    pub(crate) candidates: Vec<(usize, Option<ModelError>)>,
 }
 
 /// One offloading decision with the model evidence behind it.
@@ -418,24 +414,12 @@ impl Selector {
     /// with: the host model plus the *primary* accelerator's model (the
     /// platform's own accelerator parameters when the fleet is host-only).
     pub fn cost_models(&self) -> (CpuCostModel, GpuCostModel) {
-        let gpu_params = self
-            .fleet
-            .accelerators()
-            .first()
-            .map(|a| a.model.clone())
-            .unwrap_or_else(|| self.platform.gpu_model.clone());
-        (
-            CpuCostModel {
-                params: self.platform.cpu_model.clone(),
-                threads: self.platform.host_threads,
-                trip_mode: self.trip_mode,
-            },
-            GpuCostModel {
-                params: gpu_params,
-                trip_mode: self.trip_mode,
-                coal_mode: self.coal_mode,
-            },
-        )
+        let (cpu, gpus) = self.fleet_cost_models();
+        let primary = gpus
+            .into_iter()
+            .next()
+            .unwrap_or_else(|| self.gpu_cost_model(&self.platform.gpu_model));
+        (cpu, primary)
     }
 
     /// The full fleet of model configurations: the host model plus one GPU
@@ -450,13 +434,17 @@ impl Selector {
             .fleet
             .accelerators()
             .iter()
-            .map(|a| GpuCostModel {
-                params: a.model.clone(),
-                trip_mode: self.trip_mode,
-                coal_mode: self.coal_mode,
-            })
+            .map(|a| self.gpu_cost_model(&a.model))
             .collect();
         (cpu, gpus)
+    }
+
+    fn gpu_cost_model(&self, params: &GpuModelParams) -> GpuCostModel {
+        GpuCostModel {
+            params: params.clone(),
+            trip_mode: self.trip_mode,
+            coal_mode: self.coal_mode,
+        }
     }
 
     /// A fingerprint over every input that shapes what
@@ -483,18 +471,27 @@ impl Selector {
         hetsel_ir::snap::checksum(w.bytes())
     }
 
-    /// Evaluates both cost models for `source` under a runtime binding,
-    /// with the typed failure reasons. One of the two canonical entry
-    /// points (with [`Selector::decide`]): works on any [`ModelSource`] —
-    /// a precompiled [`RegionAttributes`] (the hot runtime path, no
-    /// symbolic work left) or a bare [`Kernel`] (compiles the models on
-    /// the spot).
+    /// Evaluates the host model and the primary accelerator's model for
+    /// `source` under a runtime binding, with the typed failure reasons:
+    /// the first two of [`ModelSource::fleet_outcomes`]. One of the two
+    /// canonical entry points (with [`Selector::decide`]): works on any
+    /// [`ModelSource`] — a precompiled [`RegionAttributes`] (the hot
+    /// runtime path, no symbolic work left) or a bare [`Kernel`] (compiles
+    /// the models on the spot). A host-only fleet has no accelerator to
+    /// predict for, so its accelerator side is
+    /// [`ModelError::UnsupportedShape`].
     pub fn predict<S: ModelSource + ?Sized>(
         &self,
         source: &S,
         binding: &Binding,
     ) -> (Result<f64, ModelError>, Result<f64, ModelError>) {
-        source.model_outcomes(self, binding)
+        let (host, accels) = source.fleet_outcomes(self, binding);
+        let primary = accels.into_iter().next().unwrap_or_else(|| {
+            Err(ModelError::UnsupportedShape {
+                reason: "the fleet registers no accelerator".to_string(),
+            })
+        });
+        (host, primary)
     }
 
     /// Makes the offloading decision for `source` under a runtime binding —
@@ -519,33 +516,32 @@ impl Selector {
         source: &S,
         binding: &Binding,
     ) -> Decision {
-        let n = self.fleet.accelerator_count();
         match policy {
             Policy::ModelDriven => {
                 let (host, accels) = source.fleet_outcomes(self, binding);
-                let indexed: Vec<(usize, Option<Result<f64, ModelError>>)> = accels
-                    .into_iter()
-                    .take(n)
-                    .enumerate()
-                    .map(|(i, o)| (i, Some(o)))
-                    .collect();
                 let calib = self.calib_context(source.calib_class(binding), source.region_name());
-                self.compose_indexed(
+                self.compose(
                     policy,
                     source.region_name(),
                     Some(host),
-                    &indexed,
+                    &mut accels.into_iter().map(Some).enumerate(),
                     calib.as_ref(),
                 )
             }
-            _ => {
-                // `Always*` policies never consult the models; the slice
-                // still names the primary accelerator so the decision can
-                // identify the offload target.
-                let unconsulted: Vec<(usize, Option<Result<f64, ModelError>>)> =
-                    if n == 0 { Vec::new() } else { vec![(0, None)] };
-                self.compose_indexed(policy, source.region_name(), None, &unconsulted, None)
-            }
+            // `Always*` policies never consult the models; the candidate
+            // list still names the primary accelerator so the decision can
+            // identify the offload target.
+            _ => self.compose(
+                policy,
+                source.region_name(),
+                None,
+                &mut self
+                    .fleet
+                    .primary_accelerator()
+                    .map(|_| (0, None))
+                    .into_iter(),
+                None,
+            ),
         }
     }
 
@@ -565,130 +561,108 @@ impl Selector {
         host: Option<Result<f64, ModelError>>,
         accels: &[Option<Result<f64, ModelError>>],
     ) -> Decision {
-        let indexed: Vec<(usize, Option<Result<f64, ModelError>>)> =
-            accels.iter().cloned().enumerate().collect();
-        self.compose_indexed(self.policy, region, host, &indexed, None)
+        self.compose(
+            self.policy,
+            region,
+            host,
+            &mut accels.iter().cloned().enumerate(),
+            None,
+        )
     }
 
-    /// Composes a [`Decision`] from model outcomes tagged with their fleet
-    /// accelerator index (`None` outcome = the policy did not consult that
-    /// model; the tag lets a restricted decision carry the true fleet
-    /// identity of its one candidate). An `Ok` carrying a non-finite or
-    /// negative time is demoted to [`ModelError::NonFinitePrediction`]
-    /// before the comparison, so a NaN can never masquerade as a fast host
-    /// — the decision falls back to the compiler default of offloading and
+    /// The pure verdict step every decision and every explanation runs:
+    /// sanitize the outcomes, apply the calibration corrections, detect a
+    /// calibration flip, pick the winner with [`choose_among`], find the
+    /// representative accelerator and resolve the chosen device's fleet
+    /// identity. It bumps no counter; [`Selector::compose`] does the
+    /// counting for decisions, and [`Selector::explain`] reports the same
+    /// verdict, with its per-candidate [`Evidence`], without counting.
+    ///
+    /// `accels` tags each candidate outcome with its fleet accelerator
+    /// index (`None` outcome = the policy did not consult that model), so
+    /// a restricted decision carries the true fleet identity of its one
+    /// candidate. An `Ok` carrying a non-finite or negative time is
+    /// demoted to [`ModelError::NonFinitePrediction`] before the
+    /// comparison, so a NaN can never masquerade as a fast host — the
+    /// verdict falls back to the compiler default of offloading and
     /// records why, exactly like any other evaluation failure.
-    fn compose_indexed(
+    pub(crate) fn verdict(
         &self,
         policy: Policy,
         region: &str,
         host: Option<Result<f64, ModelError>>,
-        accels: &[(usize, Option<Result<f64, ModelError>>)],
+        accels: &mut dyn Iterator<Item = (usize, Option<Result<f64, ModelError>>)>,
         calib: Option<&CalibContext>,
-    ) -> Decision {
-        let (raw_cpu_s, cpu_error) = match host {
-            Some(outcome) => sanitize_prediction(outcome),
-            None => (None, None),
-        };
-        let sanitized: Vec<(usize, Option<f64>, Option<ModelError>)> = accels
-            .iter()
-            .map(|(idx, outcome)| match outcome {
-                Some(o) => {
-                    let (p, e) = sanitize_prediction(o.clone());
-                    (*idx, p, e)
-                }
-                None => (*idx, None, None),
+    ) -> (Decision, Evidence) {
+        let (raw_cpu_s, cpu_error) = host.map_or((None, None), sanitize_prediction);
+        let (raw_accels, candidates): (Vec<_>, Vec<_>) = accels
+            .map(|(idx, outcome)| {
+                let (p, e) = outcome.map_or((None, None), sanitize_prediction);
+                (p, (idx, e))
             })
-            .collect();
-        let raw_accels: Vec<Option<f64>> = sanitized.iter().map(|(_, p, _)| *p).collect();
+            .unzip();
         // Online calibration: resolve the corrected candidate values and
         // detect verdict flips. A cold cell's factor is exactly 1.0 and
         // `x * 1.0` is bit-identical to `x`, so a zero-sample Shadow or
-        // Active decision reproduces the raw comparison bit for bit. The
+        // Active verdict reproduces the raw comparison bit for bit. The
         // effective values — what the verdict, the representative slot and
         // the recorded predictions all use — are the corrected ones only
         // in Active mode.
-        let mut flipped = false;
         let active = calib.is_some_and(|ctx| ctx.mode == CalibrationMode::Active);
-        let (eff_cpu_s, eff_accels) = match calib {
-            Some(ctx) => {
-                let corrected_cpu = raw_cpu_s.map(|v| v * ctx.host_factor);
-                let corrected_accels: Vec<Option<f64>> = sanitized
+        let corrected: Option<(Option<f64>, Vec<Option<f64>>)> = calib.map(|ctx| {
+            (
+                raw_cpu_s.map(|v| v * ctx.host_factor),
+                raw_accels
                     .iter()
-                    .map(|(idx, p, _)| p.map(|v| v * ctx.accel_factor(*idx)))
-                    .collect();
-                if policy == Policy::ModelDriven {
-                    let raw_choice = choose_among(raw_cpu_s, &raw_accels);
-                    let corrected_choice = choose_among(corrected_cpu, &corrected_accels);
-                    flipped = corrected_choice != raw_choice;
-                    if flipped {
-                        if active {
-                            hetsel_obs::static_counter!("hetsel.core.calib.flip").inc();
-                        } else {
-                            hetsel_obs::static_counter!("hetsel.core.calib.shadow_flip").inc();
-                        }
-                    }
-                }
-                if active {
-                    (corrected_cpu, corrected_accels)
-                } else {
-                    (raw_cpu_s, raw_accels.clone())
-                }
-            }
-            None => (raw_cpu_s, raw_accels.clone()),
+                    .zip(&candidates)
+                    .map(|(p, (idx, _))| p.map(|v| v * ctx.accel_factor(*idx)))
+                    .collect(),
+            )
+        });
+        let flipped = policy == Policy::ModelDriven
+            && corrected.as_ref().is_some_and(|(cpu, accels)| {
+                choose_among(*cpu, accels) != choose_among(raw_cpu_s, &raw_accels)
+            });
+        let (cpu_s, accel_s) = match &corrected {
+            Some((cpu, accels)) if active => (*cpu, accels.as_slice()),
+            _ => (raw_cpu_s, raw_accels.as_slice()),
         };
         let choice = match policy {
             Policy::AlwaysHost => DeviceChoice::Host,
-            Policy::AlwaysOffload => {
-                if sanitized.is_empty() {
-                    DeviceChoice::Host // host-only fleet: nowhere to offload
-                } else {
-                    DeviceChoice::Accelerator(0)
-                }
-            }
-            Policy::ModelDriven => choose_among(eff_cpu_s, &eff_accels),
+            // A host-only fleet has nowhere to offload.
+            Policy::AlwaysOffload if candidates.is_empty() => DeviceChoice::Host,
+            Policy::AlwaysOffload => DeviceChoice::Accelerator(0),
+            Policy::ModelDriven => choose_among(cpu_s, accel_s),
         };
-        // The representative accelerator behind the decision's GPU-side
-        // evidence: the chosen one when an accelerator was chosen,
-        // otherwise the fastest usable one the host beat, otherwise the
-        // primary candidate (whose recorded failure explains the
-        // fallback). For a pair fleet this is always slot 0, which is what
-        // keeps restricted decisions bit-identical to the classic pair.
-        let rep_pos = match choice {
+        // The representative accelerator behind the GPU-side evidence: the
+        // chosen one when an accelerator was chosen, otherwise the fastest
+        // usable one the host beat, otherwise the primary candidate (whose
+        // recorded failure explains the fallback). For a pair fleet this
+        // is always slot 0, which is what keeps restricted decisions
+        // bit-identical to the classic pair.
+        let rep = match choice {
             DeviceChoice::Accelerator(pos) => Some(pos),
-            DeviceChoice::Host => {
-                let best_usable = eff_accels
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(pos, p)| p.map(|t| (pos, t)))
-                    .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                    .map(|(pos, _)| pos);
-                best_usable.or(if sanitized.is_empty() { None } else { Some(0) })
-            }
+            DeviceChoice::Host => accel_s
+                .iter()
+                .enumerate()
+                .filter_map(|(pos, p)| p.map(|t| (pos, t)))
+                .min_by(|(_, a), (_, b)| a.total_cmp(b))
+                .map(|(pos, _)| pos)
+                .or((!candidates.is_empty()).then_some(0)),
         };
-        let predicted_cpu_s = eff_cpu_s;
-        let (predicted_gpu_s, gpu_error) = match rep_pos {
-            Some(pos) => (eff_accels[pos], sanitized[pos].2.clone()),
-            None => (None, None),
-        };
-        let calibration = calib.map(|ctx| {
-            let (raw_gpu_s, gpu_factor) = match rep_pos {
-                Some(pos) => (sanitized[pos].1, ctx.accel_factor(sanitized[pos].0)),
-                None => (None, 1.0),
-            };
-            CalibrationTag {
-                class: ctx.class,
-                raw_cpu_s,
-                raw_gpu_s,
-                cpu_factor: ctx.host_factor,
-                gpu_factor,
-                applied: active
-                    && ((raw_cpu_s.is_some() && ctx.host_factor != 1.0)
-                        || sanitized
-                            .iter()
-                            .any(|(idx, p, _)| p.is_some() && ctx.accel_factor(*idx) != 1.0)),
-                flipped,
-            }
+        let calibration = calib.map(|ctx| CalibrationTag {
+            class: ctx.class,
+            raw_cpu_s,
+            raw_gpu_s: rep.and_then(|pos| raw_accels[pos]),
+            cpu_factor: ctx.host_factor,
+            gpu_factor: rep.map_or(1.0, |pos| ctx.accel_factor(candidates[pos].0)),
+            applied: active
+                && ((raw_cpu_s.is_some() && ctx.host_factor != 1.0)
+                    || raw_accels
+                        .iter()
+                        .zip(&candidates)
+                        .any(|(p, (idx, _))| p.is_some() && ctx.accel_factor(*idx) != 1.0)),
+            flipped,
         });
         let (device, device_id, device_name) = match choice {
             DeviceChoice::Host => (
@@ -697,23 +671,68 @@ impl Selector {
                 self.fleet.host_label_arc().clone(),
             ),
             DeviceChoice::Accelerator(pos) => {
-                let fleet_idx = sanitized[pos].0;
-                let (id, label) = self.accel_identity(fleet_idx);
+                let (id, label) = self.accel_identity(candidates[pos].0);
                 (Device::Gpu, id, label)
             }
         };
+        let decision = Decision {
+            region: Arc::from(region),
+            device,
+            device_id,
+            device_name,
+            policy,
+            predicted_cpu_s: cpu_s,
+            predicted_gpu_s: rep.and_then(|pos| accel_s[pos]),
+            cpu_error,
+            gpu_error: rep.and_then(|pos| candidates[pos].1.clone()),
+            calibration,
+        };
+        let accel_s = match corrected {
+            Some((_, accels)) if active => accels,
+            _ => raw_accels,
+        };
+        let evidence = Evidence {
+            rep,
+            accel_s,
+            candidates,
+        };
+        (decision, evidence)
+    }
+
+    /// Runs the pure [`Selector::verdict`] step and counts the decision:
+    /// one tick of `hetsel.core.decisions.<label>` for the chosen device,
+    /// one of `hetsel.core.fallback.<reason>` per failed model under
+    /// `ModelDriven`, and `hetsel.core.calib.flip` (Active) or
+    /// `hetsel.core.calib.shadow_flip` (Shadow) when calibration flips
+    /// the verdict.
+    fn compose(
+        &self,
+        policy: Policy,
+        region: &str,
+        host: Option<Result<f64, ModelError>>,
+        accels: &mut dyn Iterator<Item = (usize, Option<Result<f64, ModelError>>)>,
+        calib: Option<&CalibContext>,
+    ) -> Decision {
+        let (decision, evidence) = self.verdict(policy, region, host, accels, calib);
+        if decision.calibration.is_some_and(|tag| tag.flipped) {
+            if calib.is_some_and(|ctx| ctx.mode == CalibrationMode::Active) {
+                hetsel_obs::static_counter!("hetsel.core.calib.flip").inc();
+            } else {
+                hetsel_obs::static_counter!("hetsel.core.calib.shadow_flip").inc();
+            }
+        }
         hetsel_obs::registry()
             .counter(&hetsel_obs::metrics::device_metric_name(
                 "hetsel.core.decisions",
-                &device_name,
+                &decision.device_name,
             ))
             .inc();
         if policy == Policy::ModelDriven {
             // Count fallback reasons by variant: one tick per failed model
             // (host and every consulted accelerator), under
             // `hetsel.core.fallback.<metric_key>`.
-            for err in std::iter::once(&cpu_error)
-                .chain(sanitized.iter().map(|(_, _, e)| e))
+            for err in std::iter::once(&decision.cpu_error)
+                .chain(evidence.candidates.iter().map(|(_, e)| e))
                 .flatten()
             {
                 hetsel_obs::registry()
@@ -721,18 +740,7 @@ impl Selector {
                     .inc();
             }
         }
-        Decision {
-            region: Arc::from(region),
-            device,
-            device_id,
-            device_name,
-            policy,
-            predicted_cpu_s,
-            predicted_gpu_s,
-            cpu_error,
-            gpu_error,
-            calibration,
-        }
+        decision
     }
 
     /// Resolves the calibration working set for one decision: `None` in
@@ -797,28 +805,24 @@ impl Selector {
     ) -> Decision {
         let consult = self.policy == Policy::ModelDriven;
         let host = consult.then(|| attrs.cpu_model.evaluate(binding).map(|p| p.seconds));
-        let accels: Vec<(usize, Option<Result<f64, ModelError>>)> = match scope {
-            None => Vec::new(),
-            Some(fleet_idx) => {
-                let outcome = consult.then(|| {
-                    let model = if fleet_idx == 0 {
-                        &attrs.gpu_model
-                    } else {
-                        &attrs.extra_accel_models[fleet_idx - 1]
-                    };
-                    model.evaluate(binding).map(|p| p.seconds)
-                });
-                vec![(fleet_idx, outcome)]
-            }
-        };
+        let accel = scope.map(|fleet_idx| {
+            let outcome = consult.then(|| {
+                attrs
+                    .accel_model(fleet_idx)
+                    .expect("decide_for checked the model exists")
+                    .evaluate(binding)
+                    .map(|p| p.seconds)
+            });
+            (fleet_idx, outcome)
+        });
         let calib = consult
             .then(|| self.calib_context(attrs.calib_class(binding), attrs.region_name()))
             .flatten();
-        self.compose_indexed(
+        self.compose(
             self.policy,
             attrs.region_name(),
             host,
-            &accels,
+            &mut accel.into_iter(),
             calib.as_ref(),
         )
     }
@@ -860,18 +864,10 @@ pub trait ModelSource {
     /// The region name decisions are recorded under.
     fn region_name(&self) -> &str;
 
-    /// Evaluates the host model and the *primary* accelerator's model
-    /// under `binding`, in `selector`'s configuration, returning
-    /// `(cpu, gpu)` outcomes in seconds — the classic pair view.
-    fn model_outcomes(
-        &self,
-        selector: &Selector,
-        binding: &Binding,
-    ) -> (Result<f64, ModelError>, Result<f64, ModelError>);
-
     /// Evaluates the host model and every fleet accelerator's model under
-    /// `binding`, returning the host outcome plus one outcome per
-    /// accelerator in fleet registration order.
+    /// `binding`, in `selector`'s configuration, returning the host
+    /// outcome plus one outcome per accelerator in fleet registration
+    /// order (seconds).
     fn fleet_outcomes(
         &self,
         selector: &Selector,
@@ -891,18 +887,6 @@ pub trait ModelSource {
 impl ModelSource for Kernel {
     fn region_name(&self) -> &str {
         &self.name
-    }
-
-    fn model_outcomes(
-        &self,
-        selector: &Selector,
-        binding: &Binding,
-    ) -> (Result<f64, ModelError>, Result<f64, ModelError>) {
-        let (cpu_cost, gpu_cost) = selector.cost_models();
-        (
-            cpu_cost.compile(self).evaluate(binding).map(|p| p.seconds),
-            gpu_cost.compile(self).evaluate(binding).map(|p| p.seconds),
-        )
     }
 
     fn fleet_outcomes(
@@ -931,27 +915,15 @@ impl ModelSource for RegionAttributes {
         &self.kernel.name
     }
 
-    fn model_outcomes(
-        &self,
-        _selector: &Selector,
-        binding: &Binding,
-    ) -> (Result<f64, ModelError>, Result<f64, ModelError>) {
-        (
-            self.cpu_model.evaluate(binding).map(|p| p.seconds),
-            self.gpu_model.evaluate(binding).map(|p| p.seconds),
-        )
-    }
-
     fn fleet_outcomes(
         &self,
-        _selector: &Selector,
+        selector: &Selector,
         binding: &Binding,
     ) -> (Result<f64, ModelError>, Vec<Result<f64, ModelError>>) {
-        let mut accels = Vec::with_capacity(1 + self.extra_accel_models.len());
-        accels.push(self.gpu_model.evaluate(binding).map(|p| p.seconds));
-        for model in &self.extra_accel_models {
-            accels.push(model.evaluate(binding).map(|p| p.seconds));
-        }
+        let accels = (0..selector.fleet.accelerator_count())
+            .map_while(|i| self.accel_model(i))
+            .map(|model| model.evaluate(binding).map(|p| p.seconds))
+            .collect();
         (self.cpu_model.evaluate(binding).map(|p| p.seconds), accels)
     }
 
@@ -1788,11 +1760,8 @@ impl DecisionEngine {
             None
         } else {
             let fleet_idx = self.selector.fleet.accel_index(device)?;
-            // The database must carry a compiled model for this
-            // accelerator (index 0 is `gpu_model`, the rest are extras).
-            if fleet_idx > attrs.extra_accel_models.len() {
-                return None;
-            }
+            // The database must carry a compiled model for this accelerator.
+            attrs.accel_model(fleet_idx)?;
             Some(fleet_idx)
         };
         let key = CacheKey::new(id, device, OWN_POLICY, self.calib_epoch(), attrs, binding);
@@ -1843,7 +1812,7 @@ impl DecisionEngine {
     ///   retry of the same key is a warm hit instead of a second blown
     ///   budget.
     pub fn decide_request(&self, request: &DecisionRequest) -> Option<Decision> {
-        self.decide_request_inner(request).map(|(d, _)| d)
+        self.decide_request_bounded(request, None).map(|(d, _)| d)
     }
 
     /// As [`DecisionEngine::decide_request`] with an explicit deadline,
@@ -1854,17 +1823,10 @@ impl DecisionEngine {
             .map(|(d, _)| d)
     }
 
-    /// Request path with the degrade flag exposed, for the dispatcher: the
-    /// `bool` is true iff the decision was deadline-degraded.
-    pub(crate) fn decide_request_inner(
-        &self,
-        request: &DecisionRequest,
-    ) -> Option<(Decision, bool)> {
-        self.decide_request_bounded(request, None)
-    }
-
     /// Shared request path: `deadline_override`, when present, replaces the
     /// request's own deadline without materialising a modified request.
+    /// The `bool` is true iff the decision was deadline-degraded (the
+    /// dispatcher records that as a fallback).
     pub(crate) fn decide_request_bounded(
         &self,
         request: &DecisionRequest,
@@ -1898,26 +1860,18 @@ impl DecisionEngine {
     /// ran out before they could answer.
     fn deadline_degraded(&self, region: &str) -> Decision {
         hetsel_obs::static_counter!("hetsel.core.decide.deadline_exceeded").inc();
-        let fleet = &self.selector.fleet;
-        let (device, device_id, device_name) = match fleet.primary_accelerator() {
-            Some(id) => (
-                Device::Gpu,
-                id,
-                fleet.label_arc(id).expect("primary id resolves").clone(),
-            ),
-            None => (Device::Host, DeviceId::HOST, fleet.host_label_arc().clone()),
-        };
+        let primary = self.selector.fleet.primary_accelerator().map(|_| (0, None));
+        let (decision, _) = self.selector.verdict(
+            Policy::AlwaysOffload,
+            region,
+            None,
+            &mut primary.into_iter(),
+            None,
+        );
         Decision {
-            region: Arc::from(region),
-            device,
-            device_id,
-            device_name,
-            policy: Policy::AlwaysOffload,
-            predicted_cpu_s: None,
-            predicted_gpu_s: None,
             cpu_error: Some(ModelError::DeadlineExceeded),
             gpu_error: Some(ModelError::DeadlineExceeded),
-            calibration: None,
+            ..decision
         }
     }
 
@@ -1929,10 +1883,12 @@ impl DecisionEngine {
     /// Plain requests are grouped by cache shard so each shard's lock is
     /// taken at most twice — once for all of the group's lookups, once for
     /// all of its inserts — instead of twice per request. Cold misses from
-    /// *every* shard are then evaluated in a single data-parallel pass
-    /// (rayon) with no lock held; the models are pure functions of
-    /// `(region, binding)`, so the parallel pass is bit-for-bit identical
-    /// to evaluating serially. Requests carrying a policy override or
+    /// *every* shard are then evaluated in one pass with no lock held.
+    /// That pass is spelled as a rayon `into_par_iter`, but the vendored
+    /// `rayon` is a sequential stand-in, so it runs serially on the
+    /// calling thread; the models are pure functions of
+    /// `(region, binding)`, so a parallel pass would be bit-for-bit
+    /// identical. Requests carrying a policy override or
     /// deadline take the individual [`DecisionEngine::decide_request`] path
     /// (overrides live in their own cache partition; deadlines need the
     /// per-request clock). Decisions and hit/miss accounting are identical
@@ -2016,10 +1972,10 @@ impl DecisionEngine {
                 });
             }
         }
-        // Phase 2: evaluate every cold miss across all shards in one
-        // parallel pass, no lock held. Results come back tagged with their
-        // request slot and are scattered in order, so the output is
-        // independent of evaluation order.
+        // Phase 2: evaluate every cold miss across all shards in one pass
+        // (serial under the vendored rayon), no lock held. Results come
+        // back tagged with their request slot and are scattered in order,
+        // so the output is independent of evaluation order.
         let all_missed: Vec<usize> = plans
             .iter()
             .flat_map(|plan| plan.missed.iter().copied())
@@ -2407,24 +2363,6 @@ mod tests {
     }
 
     #[test]
-    fn choose_device_is_nan_safe() {
-        // Comparable predictions: strict win offloads, ties stay home.
-        assert_eq!(choose_device(Some(2.0), Some(1.0)), Device::Gpu);
-        assert_eq!(choose_device(Some(1.0), Some(2.0)), Device::Host);
-        assert_eq!(choose_device(Some(1.0), Some(1.0)), Device::Host);
-        // Any unusable side falls back to the compiler default (offload) —
-        // including the NaN that `if g < c` used to send to the host.
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
-            assert_eq!(choose_device(Some(bad), Some(1.0)), Device::Gpu, "{bad}");
-            assert_eq!(choose_device(Some(1.0), Some(bad)), Device::Gpu, "{bad}");
-            assert_eq!(choose_device(Some(bad), Some(bad)), Device::Gpu, "{bad}");
-        }
-        assert_eq!(choose_device(None, Some(1.0)), Device::Gpu);
-        assert_eq!(choose_device(Some(1.0), None), Device::Gpu);
-        assert_eq!(choose_device(None, None), Device::Gpu);
-    }
-
-    #[test]
     fn non_finite_predictions_are_recorded_model_failures() {
         let s = selector();
         // A NaN GPU prediction must not silently select the host: it is a
@@ -2541,6 +2479,10 @@ mod tests {
         let (k, binding) = find_kernel("gemm").unwrap();
         let d = s.decide(&k, &binding(Dataset::Test));
         assert_eq!(d.device, Device::Host);
+        // And there is no accelerator to predict for.
+        let (cpu, gpu) = s.predict(&k, &binding(Dataset::Test));
+        assert!(cpu.is_ok());
+        assert!(matches!(gpu, Err(ModelError::UnsupportedShape { .. })));
     }
 
     #[test]
@@ -2829,7 +2771,5 @@ mod tests {
         assert_eq!(Policy::parse("nonsense"), None);
         assert_eq!(Device::Host.name(), "host");
         assert_eq!(Device::Gpu.name(), "gpu");
-        assert_eq!(Device::Host.other(), Device::Gpu);
-        assert_eq!(Device::Gpu.other(), Device::Host);
     }
 }

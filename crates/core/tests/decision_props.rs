@@ -10,9 +10,7 @@
 //! why. The single exception is a fleet with no accelerator at all, whose
 //! terminal fallback is the host unconditionally.
 
-use hetsel_core::{
-    choose_among, choose_device, Device, DeviceChoice, Fleet, Platform, Policy, Selector,
-};
+use hetsel_core::{choose_among, Device, DeviceChoice, Fleet, Platform, Policy, Selector};
 use hetsel_models::ModelError;
 use proptest::prelude::*;
 
@@ -125,7 +123,11 @@ proptest! {
         let d = s.decide_from_outcomes("prop-region", cpu.clone(), std::slice::from_ref(&gpu));
         prop_assert_eq!(d.predicted_cpu_s, usable(&cpu));
         prop_assert_eq!(d.predicted_gpu_s, usable(&gpu));
-        prop_assert_eq!(d.device, choose_device(d.predicted_cpu_s, d.predicted_gpu_s));
+        let pair = match choose_among(d.predicted_cpu_s, &[d.predicted_gpu_s]) {
+            DeviceChoice::Host => Device::Host,
+            DeviceChoice::Accelerator(_) => Device::Gpu,
+        };
+        prop_assert_eq!(d.device, pair);
         prop_assert_eq!(d.gpu_error.is_some(), gpu.is_some() && usable(&gpu).is_none());
     }
 

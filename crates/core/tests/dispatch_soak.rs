@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hetsel_core::{
-    BreakerConfig, BreakerState, DecisionEngine, DecisionRequest, Device, DispatchOutcome,
+    BreakerConfig, BreakerState, DecisionEngine, DecisionRequest, DeviceId, DispatchOutcome,
     Dispatcher, DispatcherConfig, Platform, Selector,
 };
 use hetsel_fault::FaultPlan;
@@ -62,7 +62,7 @@ fn faulty(seed: u64, p: f64) -> Dispatcher {
     Dispatcher::new(
         engine(),
         DispatcherConfig::default()
-            .with_gpu_faults(FaultPlan::transient(seed, p).with_jitter(1e-4))
+            .with_device_faults("gpu", FaultPlan::transient(seed, p).with_jitter(1e-4))
             .with_breaker(BreakerConfig {
                 failure_threshold: 3,
                 open_backoff: 8,
@@ -86,7 +86,10 @@ fn every_transient_probability_completes_every_request() {
             );
         }
         // The host stayed healthy, so its breaker never moved.
-        assert_eq!(dispatcher.breaker_state(Device::Host), BreakerState::Closed);
+        assert_eq!(
+            dispatcher.breaker_state_by_id(DeviceId::HOST),
+            Some(BreakerState::Closed)
+        );
     }
 }
 
@@ -136,7 +139,7 @@ fn stress_fault_transient_sweep_completes_and_replays() {
         if p == 1.0 {
             // Every GPU-decided request was forced to the host.
             assert!(
-                first.iter().all(|o| o.device == Device::Host),
+                first.iter().all(|o| o.device_id.is_host()),
                 "p=1: something still ran on the GPU"
             );
         }
@@ -154,7 +157,7 @@ fn stress_fault_breaker_transitions_are_deterministic() {
         let dispatcher = Dispatcher::new(
             engine(),
             DispatcherConfig::default()
-                .with_gpu_faults(FaultPlan::permanent(99, 1.0))
+                .with_device_faults("gpu", FaultPlan::permanent(99, 1.0))
                 .with_breaker(BreakerConfig {
                     failure_threshold: 2,
                     open_backoff: 4,
@@ -165,7 +168,7 @@ fn stress_fault_breaker_transitions_are_deterministic() {
             .iter()
             .map(|r| {
                 dispatcher.dispatch(r).expect("host completes");
-                let h = dispatcher.health(Device::Gpu);
+                let h = dispatcher.health_by_id(DeviceId(1)).unwrap();
                 (h.state, h.backoff, h.trips)
             })
             .collect()
@@ -218,10 +221,10 @@ fn stress_fault_concurrent_dispatch_never_hangs_or_drops() {
         8 * requests.len() as u64,
         "every request must complete on some device"
     );
-    let gpu = dispatcher.health(Device::Gpu);
+    let gpu = dispatcher.health_by_id(DeviceId(1)).unwrap();
     assert!(gpu.failures > 0, "p=0.5 must have injected GPU faults");
     assert_eq!(
-        dispatcher.health(Device::Host).failures,
+        dispatcher.health_by_id(DeviceId::HOST).unwrap().failures,
         0,
         "the host plan is healthy"
     );

@@ -18,7 +18,8 @@
 //! 2. **Request coalescing.** Concurrent requests are drained in
 //!    *windows* and evaluated with one
 //!    [`decide_batch`](hetsel_core::DecisionEngine::decide_batch) call,
-//!    amortising cache-shard locking and the rayon cold-miss pass across
+//!    amortising cache-shard locking and the cold-miss evaluation pass
+//!    (serial: the vendored `rayon` is a sequential stand-in) across
 //!    every request that arrived close together.
 //! 3. **Real deadline timers.** A dedicated timer thread answers a
 //!    deadline-carrying request the moment its budget expires — not

@@ -2,8 +2,9 @@
 //!
 //! Producers are transport threads admitting requests; the single
 //! consumer is the batcher, which drains *windows* of requests so one
-//! `decide_batch` call amortises the shard locking and the rayon
-//! cold-miss pass over every request that arrived close together.
+//! `decide_batch` call amortises the shard locking and the (serial)
+//! cold-miss evaluation pass over every request that arrived close
+//! together.
 //!
 //! The queue is deliberately built on `std::sync::{Mutex, Condvar}`, not
 //! the vendored `parking_lot` (which exposes no condvar): the consumer

@@ -4,8 +4,9 @@
 //! One batcher thread owns the engine-facing side. It drains coalescing
 //! windows from the [`AdmissionQueue`] and evaluates each window with a
 //! single [`DecisionEngine::decide_batch`](hetsel_core::DecisionEngine::decide_batch)
-//! call, so the per-request cost of shard locking and the rayon
-//! cold-miss pass is paid once per *window*, not once per request. A
+//! call, so the per-request cost of shard locking and the (serial)
+//! cold-miss evaluation pass is paid once per *window*, not once per
+//! request. A
 //! separate [`DeadlineTimer`] thread answers deadline-carrying requests
 //! the moment their budget expires — requests handed to the engine have
 //! their deadlines stripped

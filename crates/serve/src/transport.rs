@@ -10,6 +10,7 @@
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
 
 use crate::proto::parse_request_line;
 use crate::server::ServerHandle;
@@ -60,21 +61,47 @@ pub fn serve_lines(
     Ok(stats)
 }
 
+/// How long the accept loop backs off after a failed `accept` (e.g.
+/// `EMFILE` under a connection burst) before accepting again.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
 /// Accept loop: serves every connection on `listener` in its own thread
-/// until the listener errors (each connection runs [`serve_lines`] over
-/// the socket). Never returns under normal operation.
+/// (each connection runs [`serve_lines`] over the socket). Never returns
+/// under normal operation.
+///
+/// One bad connection never ends the service: a failed `accept` is
+/// counted under `hetsel.serve.accept_error` and retried after a short
+/// backoff, and a connection whose thread cannot be spawned is counted
+/// under `hetsel.serve.spawn_error` and closed.
 pub fn serve_tcp(listener: TcpListener, handle: ServerHandle) -> io::Result<()> {
-    for stream in listener.incoming() {
-        let stream = stream?;
+    accept_loop(listener.incoming(), &handle);
+    Ok(())
+}
+
+/// The body of [`serve_tcp`] over any stream of accept results, so a test
+/// can inject accept failures between good connections.
+fn accept_loop(incoming: impl IntoIterator<Item = io::Result<TcpStream>>, handle: &ServerHandle) {
+    for stream in incoming {
+        let stream = match stream {
+            Ok(stream) => stream,
+            Err(_) => {
+                hetsel_obs::static_counter!("hetsel.serve.accept_error").inc();
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                continue;
+            }
+        };
         let handle = handle.clone();
-        std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name("hetsel-serve-conn".to_string())
             .spawn(move || {
                 let _ = serve_connection(&handle, stream);
-            })
-            .expect("spawn connection thread");
+            });
+        // A failed spawn drops the closure, and with it the stream: only
+        // that one connection is closed.
+        if spawned.is_err() {
+            hetsel_obs::static_counter!("hetsel.serve.spawn_error").inc();
+        }
     }
-    Ok(())
 }
 
 fn serve_connection(handle: &ServerHandle, stream: TcpStream) -> io::Result<TransportStats> {
@@ -187,6 +214,35 @@ mod tests {
             assert_eq!(reply.status(), "ok");
             assert_eq!(reply.id(), Some(id));
         }
+        drop(writer);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_failed_accept_does_not_end_the_accept_loop() {
+        let server = server();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let errors = hetsel_obs::registry().counter("hetsel.serve.accept_error");
+        let before = errors.get();
+        // An accept failure (what `EMFILE` looks like) ahead of a good
+        // connection: the loop must count it, back off, and still serve
+        // the connection behind it.
+        let incoming = vec![Err(io::Error::other("too many open files")), Ok(accepted)];
+        accept_loop(incoming, &server.handle());
+        assert!(errors.get() > before, "accept error counted");
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let mut writer = client;
+        writer
+            .write_all(format!("{}\n", request_line(7)).as_bytes())
+            .unwrap();
+        writer.flush().unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let reply: ServeReply = serde_json::from_str(&line).unwrap();
+        assert_eq!(reply.status(), "ok");
+        assert_eq!(reply.id(), Some(7));
         drop(writer);
         server.shutdown();
     }

@@ -77,7 +77,7 @@ pub use hetsel_polybench as polybench;
 pub mod prelude {
     pub use hetsel_core::{
         AttributeDatabase, BreakerState, CalibrationMode, Calibrator, Decision, DecisionEngine,
-        DecisionRequest, Device, DeviceId, DeviceKind, DispatchError, DispatchOutcome, Dispatcher,
+        DecisionRequest, Device, DeviceId, DispatchError, DispatchOutcome, Dispatcher,
         DispatcherConfig, Explanation, FallbackReason, Fleet, Platform, Policy, Selector,
     };
     pub use hetsel_fault::{FaultKind, FaultPlan};
