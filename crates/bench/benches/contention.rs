@@ -119,7 +119,7 @@ fn contended_decide(c: &mut Criterion) {
 }
 
 /// The batched entry point against the same workload shape: one
-/// `decide_batch` per round per thread, grouped by shard internally.
+/// `decide_batch` per round per thread.
 fn batched_decide(c: &mut Criterion) {
     let engine = engine_with_shards(DEFAULT_DECISION_SHARDS);
     warm(&engine);

@@ -7,8 +7,7 @@
 //! * `cache_hit` — replay a memoized decision (the allocation-free path);
 //! * `cache_miss` — evaluate + insert, every call a fresh key;
 //! * `batch_hot` / `batch_cold` — `decide_batch` throughput per request,
-//!   over an all-hit and an all-miss batch respectively (the cold path is
-//!   where the rayon parallel evaluation pass applies);
+//!   over an all-hit and an all-miss batch respectively;
 //! * `cold_start_compile` / `cold_start_snapshot` — process-fresh start to
 //!   first decision over the full 24-region suite: compile every model
 //!   from IR vs restore the compiled-model snapshot from disk.

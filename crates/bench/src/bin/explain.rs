@@ -160,8 +160,13 @@ fn main() {
     } else {
         for (kernel, binding) in &targets {
             let b = binding(ds);
-            let (_, explanation) = engine
-                .decide_explained(&kernel.name, &b)
+            // Decide first so the report's `cached` flag and the cache
+            // line below reflect the decision having been taken.
+            engine
+                .decide(&kernel.name, &b)
+                .expect("kernel came from the database");
+            let explanation = engine
+                .explain(&kernel.name, &b)
                 .expect("kernel came from the database");
             explanations.push(explanation);
         }

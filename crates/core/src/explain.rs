@@ -874,8 +874,8 @@ pub fn validate_report_json(json: &str) -> Result<ExplainReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DecisionEngine;
     use crate::platform::Platform;
-    use crate::selector::DecisionEngine;
     use hetsel_ir::Kernel;
     use hetsel_polybench::{find_kernel, Dataset};
 
@@ -897,7 +897,8 @@ mod tests {
             let bound = [Dataset::Mini, Dataset::Test, Dataset::Benchmark].map(bench.binding);
             for b in bound.iter().chain([&unbound]) {
                 for k in &bench.kernels {
-                    let (decision, explanation) = engine.decide_explained(&k.name, b).unwrap();
+                    let decision = engine.decide(&k.name, b).unwrap();
+                    let explanation = engine.explain(&k.name, b).unwrap();
                     assert!(
                         explanation.describes(&decision),
                         "{} {b:?}: explanation diverges from decision\n{explanation:?}\n{decision:?}",
@@ -1001,7 +1002,8 @@ mod tests {
         let (k, binding) = find_kernel("gemm").unwrap();
         let engine = DecisionEngine::new(selector, std::slice::from_ref(&k));
         let b = binding(Dataset::Test);
-        let (decision, e) = engine.decide_explained("gemm", &b).unwrap();
+        let decision = engine.decide("gemm", &b).unwrap();
+        let e = engine.explain("gemm", &b).unwrap();
         assert!(e.describes(&decision), "{e:?}\n{decision:?}");
         assert_eq!(e.devices.len(), 3, "host + two accelerators");
         assert_eq!(e.devices[0].kind, "host");

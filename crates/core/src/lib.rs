@@ -16,13 +16,16 @@
 #![warn(missing_docs)]
 
 pub mod attributes;
+pub mod cache;
 pub mod calib;
 pub mod dispatch;
+pub mod engine;
 pub mod explain;
 pub mod fleet;
 pub mod history;
 pub mod platform;
 pub mod program;
+pub mod request;
 pub mod selector;
 pub mod snapshot;
 pub mod split;
@@ -31,6 +34,7 @@ pub use attributes::{
     AccessExport, AttributeDatabase, CompiledModelRef, DatabaseExport, RegionAttributes,
     RegionExport,
 };
+pub use cache::{DecisionCacheStats, DEFAULT_DECISION_CACHE, DEFAULT_DECISION_SHARDS};
 pub use calib::{
     BindingClass, CalibRow, CalibrationMode, CalibrationTag, Calibrator, CalibratorConfig,
 };
@@ -38,6 +42,7 @@ pub use dispatch::{
     BreakerConfig, BreakerState, DeviceHealthSnapshot, DispatchError, DispatchOutcome, Dispatcher,
     DispatcherConfig, FallbackReason, RetryConfig,
 };
+pub use engine::DecisionEngine;
 pub use explain::{
     validate_report_json, AccuracyBlock, BoundParam, CalibrationBlock, CpuTerms, DevicePrediction,
     DispatchTerms, ExplainReport, Explanation, GpuTerms, PhaseTimings,
@@ -46,10 +51,10 @@ pub use fleet::{AcceleratorDevice, DeviceId, Fleet};
 pub use history::AdaptiveSelector;
 pub use platform::Platform;
 pub use program::{plan_program, ProgramPlan};
+pub use request::DecisionRequest;
 pub use selector::{
-    choose_among, geomean, Decision, DecisionCacheStats, DecisionEngine, DecisionRequest, Device,
-    DeviceChoice, Evaluation, Measured, ModelSource, Policy, Selector, DEFAULT_DECISION_CACHE,
-    DEFAULT_DECISION_SHARDS,
+    choose_among, geomean, Decision, Device, DeviceChoice, Evaluation, Measured, ModelSource,
+    Policy, Selector,
 };
 pub use snapshot::SnapshotError;
 pub use split::{best_split, SplitDecision};

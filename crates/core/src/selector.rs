@@ -8,13 +8,9 @@
 //! nature of the model, generating a prediction for either target is
 //! equivalent to solving an equation, making decision time negligible."
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use crate::attributes::{AttributeDatabase, RegionAttributes, RegionId};
+use crate::attributes::RegionAttributes;
 use crate::calib::{BindingClass, CalibrationMode, CalibrationTag, Calibrator};
 use crate::fleet::{DeviceId, Fleet};
 use crate::platform::Platform;
@@ -22,8 +18,6 @@ use hetsel_ir::{Binding, Kernel};
 use hetsel_models::{
     CoalescingMode, CostModel, CpuCostModel, GpuCostModel, GpuModelParams, ModelError, TripMode,
 };
-use parking_lot::Mutex;
-use rayon::prelude::*;
 
 /// An execution target.
 ///
@@ -75,7 +69,7 @@ pub enum Policy {
 impl Policy {
     /// Stable snake_case name (`"model_driven"`, `"always_host"`,
     /// `"always_offload"`), the serialized form in explain documents and
-    /// [`DecisionRequest`] JSON.
+    /// [`DecisionRequest`](crate::DecisionRequest) JSON.
     pub fn name(self) -> &'static str {
         match self {
             Policy::AlwaysHost => "always_host",
@@ -425,18 +419,21 @@ impl Selector {
     /// The full fleet of model configurations: the host model plus one GPU
     /// cost model per registered accelerator, in fleet id order.
     pub fn fleet_cost_models(&self) -> (CpuCostModel, Vec<GpuCostModel>) {
-        let cpu = CpuCostModel {
-            params: self.platform.cpu_model.clone(),
-            threads: self.platform.host_threads,
-            trip_mode: self.trip_mode,
-        };
         let gpus = self
             .fleet
             .accelerators()
             .iter()
             .map(|a| self.gpu_cost_model(&a.model))
             .collect();
-        (cpu, gpus)
+        (self.cpu_cost_model(), gpus)
+    }
+
+    fn cpu_cost_model(&self) -> CpuCostModel {
+        CpuCostModel {
+            params: self.platform.cpu_model.clone(),
+            threads: self.platform.host_threads,
+            trip_mode: self.trip_mode,
+        }
     }
 
     fn gpu_cost_model(&self, params: &GpuModelParams) -> GpuCostModel {
@@ -472,26 +469,27 @@ impl Selector {
     }
 
     /// Evaluates the host model and the primary accelerator's model for
-    /// `source` under a runtime binding, with the typed failure reasons:
-    /// the first two of [`ModelSource::fleet_outcomes`]. One of the two
-    /// canonical entry points (with [`Selector::decide`]): works on any
-    /// [`ModelSource`] — a precompiled [`RegionAttributes`] (the hot
-    /// runtime path, no symbolic work left) or a bare [`Kernel`] (compiles
-    /// the models on the spot). A host-only fleet has no accelerator to
-    /// predict for, so its accelerator side is
+    /// `source` under a runtime binding, with the typed failure reasons.
+    /// One of the two canonical entry points (with [`Selector::decide`]):
+    /// works on any [`ModelSource`] — a precompiled [`RegionAttributes`]
+    /// (the hot runtime path, no symbolic work left) or a bare [`Kernel`]
+    /// (compiles the models on the spot). A host-only fleet has no
+    /// accelerator to predict for, so its accelerator side is
     /// [`ModelError::UnsupportedShape`].
     pub fn predict<S: ModelSource + ?Sized>(
         &self,
         source: &S,
         binding: &Binding,
     ) -> (Result<f64, ModelError>, Result<f64, ModelError>) {
-        let (host, accels) = source.fleet_outcomes(self, binding);
-        let primary = accels.into_iter().next().unwrap_or_else(|| {
-            Err(ModelError::UnsupportedShape {
-                reason: "the fleet registers no accelerator".to_string(),
-            })
-        });
-        (host, primary)
+        let primary = (self.fleet.accelerator_count() > 0)
+            .then(|| source.accel_outcome(self, binding, 0))
+            .flatten()
+            .unwrap_or_else(|| {
+                Err(ModelError::UnsupportedShape {
+                    reason: "the fleet registers no accelerator".to_string(),
+                })
+            });
+        (source.host_outcome(self, binding), primary)
     }
 
     /// Makes the offloading decision for `source` under a runtime binding —
@@ -502,47 +500,55 @@ impl Selector {
     /// in [`Decision::cpu_error`] / [`Decision::gpu_error`]; `Always*`
     /// policies never consult the models.
     pub fn decide<S: ModelSource + ?Sized>(&self, source: &S, binding: &Binding) -> Decision {
-        self.decide_under(self.policy, source, binding)
+        self.decide_among(self.policy, source, binding, DeviceId::FLEET)
     }
 
-    /// As [`Selector::decide`] under an explicit policy, leaving the
-    /// selector's own configuration untouched. This is how per-request
-    /// policy overrides are honoured without cloning and reconfiguring a
-    /// selector per call: the policy is an argument of the decision, not
-    /// part of the machinery that evaluates the models.
-    pub fn decide_under<S: ModelSource + ?Sized>(
+    /// The evaluation behind every decision: decides for `source` under
+    /// `policy` among the candidates `scope` names — [`DeviceId::FLEET`]
+    /// for every registered device, an accelerator's id for the host plus
+    /// that one accelerator, and [`DeviceId::HOST`] (or any id naming no
+    /// accelerator) for the host alone. A scoped accelerator keeps its
+    /// true fleet id and label in the decision, so with the primary
+    /// accelerator as scope a pair-fleet decision is bit-identical to the
+    /// whole-fleet one. The policy is an argument rather than the
+    /// selector's own, so per-request overrides need no reconfigured
+    /// selector.
+    pub(crate) fn decide_among<S: ModelSource + ?Sized>(
         &self,
         policy: Policy,
         source: &S,
         binding: &Binding,
+        scope: DeviceId,
     ) -> Decision {
-        match policy {
-            Policy::ModelDriven => {
-                let (host, accels) = source.fleet_outcomes(self, binding);
-                let calib = self.calib_context(source.calib_class(binding), source.region_name());
-                self.compose(
-                    policy,
-                    source.region_name(),
-                    Some(host),
-                    &mut accels.into_iter().map(Some).enumerate(),
-                    calib.as_ref(),
-                )
-            }
-            // `Always*` policies never consult the models; the candidate
-            // list still names the primary accelerator so the decision can
-            // identify the offload target.
-            _ => self.compose(
+        let region = source.region_name();
+        let candidates = match scope {
+            DeviceId::FLEET => 0..self.fleet.accelerator_count(),
+            id => self.fleet.accel_index(id).map_or(0..0, |idx| idx..idx + 1),
+        };
+        if policy != Policy::ModelDriven {
+            // `Always*` policies never consult the models; the candidates
+            // still name the offload target.
+            return self.compose(
                 policy,
-                source.region_name(),
+                region,
                 None,
-                &mut self
-                    .fleet
-                    .primary_accelerator()
-                    .map(|_| (0, None))
-                    .into_iter(),
+                &mut candidates.map(|idx| (idx, None)),
                 None,
-            ),
+            );
         }
+        let host = source.host_outcome(self, binding);
+        let calib = self.calib_context(source.calib_class(binding), region);
+        self.compose(
+            policy,
+            region,
+            Some(host),
+            &mut candidates.map_while(|idx| {
+                source
+                    .accel_outcome(self, binding, idx)
+                    .map(|outcome| (idx, Some(outcome)))
+            }),
+            calib.as_ref(),
+        )
     }
 
     /// Composes a [`Decision`] from already-evaluated model outcomes, one
@@ -791,42 +797,6 @@ impl Selector {
         }
     }
 
-    /// Decides with the candidate set restricted to the host plus at most
-    /// one accelerator (`None` = host only): the evaluation behind
-    /// [`DecisionEngine::decide_for`]. The accelerator keeps its true
-    /// fleet id and label in the decision, and with the fleet's primary
-    /// accelerator as scope this is bit-identical to the full
-    /// [`Selector::decide`] on a pair fleet.
-    pub(crate) fn decide_restricted(
-        &self,
-        attrs: &RegionAttributes,
-        binding: &Binding,
-        scope: Option<usize>,
-    ) -> Decision {
-        let consult = self.policy == Policy::ModelDriven;
-        let host = consult.then(|| attrs.cpu_model.evaluate(binding).map(|p| p.seconds));
-        let accel = scope.map(|fleet_idx| {
-            let outcome = consult.then(|| {
-                attrs
-                    .accel_model(fleet_idx)
-                    .expect("decide_for checked the model exists")
-                    .evaluate(binding)
-                    .map(|p| p.seconds)
-            });
-            (fleet_idx, outcome)
-        });
-        let calib = consult
-            .then(|| self.calib_context(attrs.calib_class(binding), attrs.region_name()))
-            .flatten();
-        self.compose(
-            self.policy,
-            attrs.region_name(),
-            host,
-            &mut accel.into_iter(),
-            calib.as_ref(),
-        )
-    }
-
     /// Runs the timing simulators for both targets ("measures" the region).
     pub fn measure(&self, kernel: &Kernel, binding: &Binding) -> Option<Measured> {
         let cpu = hetsel_cpusim::simulate(
@@ -864,15 +834,19 @@ pub trait ModelSource {
     /// The region name decisions are recorded under.
     fn region_name(&self) -> &str;
 
-    /// Evaluates the host model and every fleet accelerator's model under
-    /// `binding`, in `selector`'s configuration, returning the host
-    /// outcome plus one outcome per accelerator in fleet registration
-    /// order (seconds).
-    fn fleet_outcomes(
+    /// Evaluates the host model under `binding`, in `selector`'s
+    /// configuration (seconds).
+    fn host_outcome(&self, selector: &Selector, binding: &Binding) -> Result<f64, ModelError>;
+
+    /// Evaluates the model of fleet accelerator `idx` (registration order)
+    /// under `binding`, in `selector`'s configuration (seconds); `None`
+    /// when the source carries no model for that accelerator.
+    fn accel_outcome(
         &self,
         selector: &Selector,
         binding: &Binding,
-    ) -> (Result<f64, ModelError>, Vec<Result<f64, ModelError>>);
+        idx: usize,
+    ) -> Option<Result<f64, ModelError>>;
 
     /// The [`BindingClass`] online calibration buckets this region's
     /// corrections under for `binding`. The default classifies over every
@@ -889,19 +863,20 @@ impl ModelSource for Kernel {
         &self.name
     }
 
-    fn fleet_outcomes(
+    fn host_outcome(&self, selector: &Selector, binding: &Binding) -> Result<f64, ModelError> {
+        let model = selector.cpu_cost_model().compile(self);
+        model.evaluate(binding).map(|p| p.seconds)
+    }
+
+    fn accel_outcome(
         &self,
         selector: &Selector,
         binding: &Binding,
-    ) -> (Result<f64, ModelError>, Vec<Result<f64, ModelError>>) {
-        let (cpu_cost, gpu_costs) = selector.fleet_cost_models();
-        (
-            cpu_cost.compile(self).evaluate(binding).map(|p| p.seconds),
-            gpu_costs
-                .into_iter()
-                .map(|g| g.compile(self).evaluate(binding).map(|p| p.seconds))
-                .collect(),
-        )
+        idx: usize,
+    ) -> Option<Result<f64, ModelError>> {
+        let accel = selector.fleet.accelerators().get(idx)?;
+        let model = selector.gpu_cost_model(&accel.model).compile(self);
+        Some(model.evaluate(binding).map(|p| p.seconds))
     }
 
     fn calib_class(&self, binding: &Binding) -> BindingClass {
@@ -915,204 +890,22 @@ impl ModelSource for RegionAttributes {
         &self.kernel.name
     }
 
-    fn fleet_outcomes(
+    fn host_outcome(&self, _selector: &Selector, binding: &Binding) -> Result<f64, ModelError> {
+        self.cpu_model.evaluate(binding).map(|p| p.seconds)
+    }
+
+    fn accel_outcome(
         &self,
-        selector: &Selector,
+        _selector: &Selector,
         binding: &Binding,
-    ) -> (Result<f64, ModelError>, Vec<Result<f64, ModelError>>) {
-        let accels = (0..selector.fleet.accelerator_count())
-            .map_while(|i| self.accel_model(i))
-            .map(|model| model.evaluate(binding).map(|p| p.seconds))
-            .collect();
-        (self.cpu_model.evaluate(binding).map(|p| p.seconds), accels)
+        idx: usize,
+    ) -> Option<Result<f64, ModelError>> {
+        let model = self.accel_model(idx)?;
+        Some(model.evaluate(binding).map(|p| p.seconds))
     }
 
     fn calib_class(&self, binding: &Binding) -> BindingClass {
         BindingClass::over(self.required_params.iter().map(String::as_str), binding)
-    }
-}
-
-/// One decision (or dispatch) request: the redesigned request API that
-/// replaced the positional `(&str, &Binding)` tuples.
-///
-/// A request names the region, carries the runtime binding, and optionally
-/// overrides the engine's policy or bounds the decision with a deadline.
-/// Build with [`DecisionRequest::new`] plus the `with_*` builders:
-///
-/// ```
-/// use std::time::Duration;
-/// use hetsel_core::{DecisionRequest, Policy};
-/// use hetsel_ir::Binding;
-///
-/// let request = DecisionRequest::new("gemm", Binding::new().with("ni", 1024))
-///     .with_policy(Policy::AlwaysHost)
-///     .with_deadline(Duration::from_micros(50));
-/// assert_eq!(request.region(), "gemm");
-/// ```
-///
-/// Fields are private so invariants can be added without breaking callers;
-/// every field has an accessor. Serialization (via the workspace `serde`)
-/// writes `{"region", "binding", "policy_override", "deadline_ns"}` with
-/// the policy as its [`Policy::name`] string and the deadline in integer
-/// nanoseconds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecisionRequest {
-    region: String,
-    binding: Binding,
-    policy_override: Option<Policy>,
-    deadline: Option<Duration>,
-}
-
-impl DecisionRequest {
-    /// A plain request: decide `region` under `binding` with the engine's
-    /// own policy and no deadline.
-    pub fn new(region: impl Into<String>, binding: Binding) -> DecisionRequest {
-        DecisionRequest {
-            region: region.into(),
-            binding,
-            policy_override: None,
-            deadline: None,
-        }
-    }
-
-    /// Builder: decide under `policy` instead of the engine's configured
-    /// policy. Overridden decisions are cached in their own policy-tagged
-    /// partition, so repeated overrides are as warm as plain decisions
-    /// without ever cross-answering one.
-    pub fn with_policy(mut self, policy: Policy) -> DecisionRequest {
-        self.policy_override = Some(policy);
-        self
-    }
-
-    /// Builder: strip any per-request policy override, restoring the
-    /// engine's configured policy — the mirror of
-    /// [`DecisionRequest::without_deadline`], so a front-end can reuse a
-    /// template request without rebuilding it.
-    pub fn without_policy(mut self) -> DecisionRequest {
-        self.policy_override = None;
-        self
-    }
-
-    /// Builder: bound the decision by `deadline`. A decision that misses
-    /// its deadline degrades to the compiler default (offload) with
-    /// [`ModelError::DeadlineExceeded`] recorded on both sides; a zero
-    /// deadline skips model evaluation entirely.
-    pub fn with_deadline(mut self, deadline: Duration) -> DecisionRequest {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Builder: strip any deadline from the request. A front-end that
-    /// enforces deadlines with real timers (`hetsel-serve`) uses this so
-    /// the engine never second-guesses the timer with its own post-hoc
-    /// elapsed check.
-    pub fn without_deadline(mut self) -> DecisionRequest {
-        self.deadline = None;
-        self
-    }
-
-    /// The region the request names.
-    pub fn region(&self) -> &str {
-        &self.region
-    }
-
-    /// The runtime binding.
-    pub fn binding(&self) -> &Binding {
-        &self.binding
-    }
-
-    /// The policy override, if any.
-    pub fn policy_override(&self) -> Option<Policy> {
-        self.policy_override
-    }
-
-    /// The decision deadline, if any.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-}
-
-impl From<(&str, &Binding)> for DecisionRequest {
-    /// Upgrades a legacy positional pair into a plain request.
-    fn from((region, binding): (&str, &Binding)) -> DecisionRequest {
-        DecisionRequest::new(region, binding.clone())
-    }
-}
-
-impl serde::Serialize for DecisionRequest {
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        let binding = Value::Object(
-            self.binding
-                .iter()
-                .map(|(name, value)| (name.to_string(), Value::Int(value)))
-                .collect(),
-        );
-        let policy = match self.policy_override {
-            Some(p) => Value::Str(p.name().to_string()),
-            None => Value::Null,
-        };
-        let deadline = match self.deadline {
-            // Saturate rather than wrap: u64 nanoseconds covers ~584 years.
-            Some(d) => Value::UInt(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
-            None => Value::Null,
-        };
-        Value::Object(vec![
-            ("region".to_string(), Value::Str(self.region.clone())),
-            ("binding".to_string(), binding),
-            ("policy_override".to_string(), policy),
-            ("deadline_ns".to_string(), deadline),
-        ])
-    }
-}
-
-impl serde::Deserialize for DecisionRequest {
-    fn from_value(v: &serde::Value) -> Result<DecisionRequest, serde::Error> {
-        use serde::Value;
-        let region = match v.get("region") {
-            Some(Value::Str(s)) => s.clone(),
-            other => return Err(serde::Error::msg(format!("bad region: {other:?}"))),
-        };
-        let mut binding = Binding::new();
-        match v.get("binding") {
-            Some(Value::Object(fields)) => {
-                for (name, value) in fields {
-                    match value {
-                        Value::Int(n) => binding.set(name.as_str(), *n),
-                        Value::UInt(n) => binding.set(
-                            name.as_str(),
-                            i64::try_from(*n).map_err(|_| {
-                                serde::Error::msg(format!("binding {name} out of range: {n}"))
-                            })?,
-                        ),
-                        other => {
-                            return Err(serde::Error::msg(format!(
-                                "binding {name} is not an integer: {other:?}"
-                            )))
-                        }
-                    }
-                }
-            }
-            other => return Err(serde::Error::msg(format!("bad binding: {other:?}"))),
-        }
-        let policy_override = match v.get("policy_override") {
-            None | Some(Value::Null) => None,
-            Some(Value::Str(s)) => Some(
-                Policy::parse(s)
-                    .ok_or_else(|| serde::Error::msg(format!("unknown policy {s:?}")))?,
-            ),
-            other => return Err(serde::Error::msg(format!("bad policy_override: {other:?}"))),
-        };
-        let deadline = match v.get("deadline_ns") {
-            None | Some(Value::Null) => None,
-            Some(ns) => Some(Duration::from_nanos(
-                <u64 as serde::Deserialize>::from_value(ns)?,
-            )),
-        };
-        let mut request = DecisionRequest::new(region, binding);
-        request.policy_override = policy_override;
-        request.deadline = deadline;
-        Ok(request)
     }
 }
 
@@ -1136,1011 +929,6 @@ pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
     } else {
         (log_sum / n as f64).exp()
     }
-}
-
-/// Hit/miss statistics and occupancy of a [`DecisionEngine`]'s cache,
-/// aggregated over every shard. Counters are shard-local atomics summed at
-/// read time — taking a snapshot never stops the world; each shard's lock
-/// is taken briefly and one at a time only for `len` and `evictions`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecisionCacheStats {
-    /// Decisions served from the cache.
-    pub hits: u64,
-    /// Decisions computed by model evaluation.
-    pub misses: u64,
-    /// Entries currently cached, summed over shards.
-    pub len: usize,
-    /// Maximum entries the cache holds in total. Sharding never inflates
-    /// the memory bound: per-shard capacities sum to exactly this value.
-    pub capacity: usize,
-    /// Entries evicted to make room since the engine was built.
-    pub evictions: u64,
-    /// Number of lock-striped shards the cache is split into.
-    pub shards: usize,
-}
-
-/// Number of parameter slots a [`CacheKey`] stores inline. Polybench
-/// regions need at most three; eight covers any realistic region without
-/// touching the heap.
-const INLINE_KEY_SLOTS: usize = 8;
-
-/// The engine's own configured policy — the default [`CacheKey`]
-/// partition every plain `decide`/`decide_for` call lives in.
-const OWN_POLICY: u8 = 0;
-
-/// Stable non-zero partition tag for a per-request policy override.
-/// Distinct from [`OWN_POLICY`] even when the override names the policy
-/// the engine is already configured with: the cheap constant tag keeps
-/// the plain path free of a comparison, at the cost of (at most) one
-/// duplicate cache entry per key for redundant overrides.
-fn policy_code(policy: Policy) -> u8 {
-    match policy {
-        Policy::AlwaysHost => 1,
-        Policy::AlwaysOffload => 2,
-        Policy::ModelDriven => 3,
-    }
-}
-
-/// Key of a cached decision: the region's dense [`RegionId`], the
-/// [`DeviceId`] scope the decision was taken under ([`DeviceId::FLEET`]
-/// for the default whole-fleet `decide`, a concrete device id for
-/// `decide_for`), a policy-partition tag (0 for the engine's configured
-/// policy, a [`policy_code`] for per-request overrides), plus the
-/// resolved values of exactly the parameters that region requires, in
-/// declaration order, with the hash precomputed at construction. Bindings that differ only in irrelevant symbols share an
-/// entry; an unbound required parameter is part of the key too (`None`),
-/// so fallback decisions are cached with the same fidelity as successful
-/// ones.
-///
-/// Keys with at most [`INLINE_KEY_SLOTS`] parameters are built, hashed and
-/// compared without a single heap allocation — this is what makes the
-/// cache-hit `decide` path allocation-free. Longer parameter lists spill to
-/// a boxed slice.
-#[derive(Debug, Clone)]
-struct CacheKey {
-    region: RegionId,
-    /// Decision scope: whole fleet or one device.
-    scope: DeviceId,
-    /// Policy partition: 0 for the engine's own configured policy, a
-    /// [`policy_code`] for a per-request override. Overridden decisions
-    /// are cached too, but in their own partition — they can never
-    /// answer (or be answered by) a plain request.
-    policy: u8,
-    /// Calibration epoch the decision was taken under: the calibrator's
-    /// epoch in Active mode, 0 otherwise. A published correction bumps
-    /// the epoch, so every cached verdict that might depend on it is
-    /// lazily invalidated (its key no longer matches) without touching
-    /// the cache — and *only* then: per-sample churn never invalidates.
-    epoch: u64,
-    /// Number of inline slots in use (only meaningful when `spill` is
-    /// `None`; always `<= INLINE_KEY_SLOTS`).
-    len: u8,
-    inline: [Option<i64>; INLINE_KEY_SLOTS],
-    spill: Option<Box<[Option<i64>]>>,
-    /// FNV-1a over the region id and slots, computed once at construction.
-    /// `Hash` writes this value verbatim and shard selection masks it
-    /// directly, so a key is hashed exactly once in its life.
-    hash: u64,
-}
-
-impl CacheKey {
-    fn new(
-        region: RegionId,
-        scope: DeviceId,
-        policy: u8,
-        epoch: u64,
-        attrs: &RegionAttributes,
-        binding: &Binding,
-    ) -> CacheKey {
-        let params = &attrs.required_params;
-        let mut inline = [None; INLINE_KEY_SLOTS];
-        let mut spill = None;
-        if params.len() <= INLINE_KEY_SLOTS {
-            for (slot, p) in inline.iter_mut().zip(params) {
-                *slot = binding.get(p);
-            }
-        } else {
-            spill = Some(params.iter().map(|p| binding.get(p)).collect());
-        }
-        let mut key = CacheKey {
-            region,
-            scope,
-            policy,
-            epoch,
-            len: params.len().min(INLINE_KEY_SLOTS) as u8,
-            inline,
-            spill,
-            hash: 0,
-        };
-        key.hash = key.compute_hash();
-        key
-    }
-
-    /// The resolved parameter values, in the region's declaration order.
-    fn slots(&self) -> &[Option<i64>] {
-        match &self.spill {
-            Some(slots) => slots,
-            None => &self.inline[..self.len as usize],
-        }
-    }
-
-    fn compute_hash(&self) -> u64 {
-        // FNV-1a with the standard constants: cheap, allocation-free, and
-        // deterministic within and across processes (shard placement and
-        // therefore per-shard accounting are reproducible).
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(PRIME);
-        };
-        mix(u64::from(self.region.0));
-        mix(u64::from(self.scope.0));
-        mix(u64::from(self.policy));
-        // Folded only when nonzero so epoch-0 keys (Off/Shadow mode, or
-        // Active before any publication) hash — and therefore shard —
-        // exactly as they did before calibration existed. FNV-1a folds a
-        // zero too (the multiply still runs), which would silently reshuffle
-        // every cached entry's placement.
-        if self.epoch != 0 {
-            mix(self.epoch);
-        }
-        for slot in self.slots() {
-            // Distinct tags keep `Some(0)` and `None` from colliding.
-            match slot {
-                Some(v) => {
-                    mix(1);
-                    mix(*v as u64);
-                }
-                None => mix(2),
-            }
-        }
-        // MurmurHash3 finalizer: raw FNV concentrates its entropy in the
-        // high bits, but shard selection masks the *low* bits — fmix64
-        // gives them full avalanche.
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        h ^= h >> 33;
-        h
-    }
-}
-
-impl PartialEq for CacheKey {
-    fn eq(&self, other: &CacheKey) -> bool {
-        self.hash == other.hash
-            && self.region == other.region
-            && self.scope == other.scope
-            && self.policy == other.policy
-            && self.epoch == other.epoch
-            && self.slots() == other.slots()
-    }
-}
-
-impl Eq for CacheKey {}
-
-impl Hash for CacheKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// Pass-through hasher for [`CacheKey`]-keyed maps: the key's `hash` field
-/// is already a well-mixed 64-bit value (fmix64-finalised FNV-1a), so
-/// running it through SipHash again would only add latency to the hot
-/// path. `CacheKey::hash` feeds exactly one `write_u64`.
-#[derive(Default)]
-struct Prehashed(u64);
-
-impl Hasher for Prehashed {
-    #[inline]
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("CacheKey hashes via write_u64 only");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type PrehashedBuild = std::hash::BuildHasherDefault<Prehashed>;
-
-/// Sentinel index for "no node" in the intrusive LRU list.
-const NIL: u32 = u32::MAX;
-
-#[derive(Debug)]
-struct LruNode {
-    key: CacheKey,
-    decision: Decision,
-    prev: u32,
-    next: u32,
-}
-
-/// A bounded LRU map backed by an intrusive doubly linked list threaded
-/// through a slab of nodes: a hit relinks two `u32` indices and clones the
-/// cached decision — no key clone, no queue record, no allocation at all —
-/// and an insert at capacity reuses the evicted node's slot, so a full
-/// cache stops allocating entirely. Eviction order is exact LRU.
-#[derive(Debug)]
-struct LruCache {
-    capacity: usize,
-    map: HashMap<CacheKey, u32, PrehashedBuild>,
-    nodes: Vec<LruNode>,
-    free: Vec<u32>,
-    /// Most recently used node, or [`NIL`] when empty.
-    head: u32,
-    /// Least recently used node, or [`NIL`] when empty.
-    tail: u32,
-    evictions: u64,
-}
-
-impl LruCache {
-    fn new(capacity: usize) -> LruCache {
-        LruCache {
-            capacity: capacity.max(1),
-            map: HashMap::default(),
-            nodes: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            evictions: 0,
-        }
-    }
-
-    fn contains(&self, key: &CacheKey) -> bool {
-        self.map.contains_key(key)
-    }
-
-    fn unlink(&mut self, idx: u32) {
-        let (prev, next) = {
-            let n = &self.nodes[idx as usize];
-            (n.prev, n.next)
-        };
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.nodes[prev as usize].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.nodes[next as usize].prev = prev;
-        }
-    }
-
-    fn push_front(&mut self, idx: u32) {
-        let old_head = self.head;
-        {
-            let n = &mut self.nodes[idx as usize];
-            n.prev = NIL;
-            n.next = old_head;
-        }
-        if old_head != NIL {
-            self.nodes[old_head as usize].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
-    }
-
-    fn get(&mut self, key: &CacheKey) -> Option<Decision> {
-        let idx = *self.map.get(key)?;
-        if self.head != idx {
-            self.unlink(idx);
-            self.push_front(idx);
-        }
-        Some(self.nodes[idx as usize].decision.clone())
-    }
-
-    fn insert(&mut self, key: CacheKey, decision: Decision) {
-        if let Some(&idx) = self.map.get(&key) {
-            // Same key: refresh the value in place and the recency.
-            self.nodes[idx as usize].decision = decision;
-            if self.head != idx {
-                self.unlink(idx);
-                self.push_front(idx);
-            }
-            return;
-        }
-        while self.map.len() >= self.capacity {
-            let lru = self.tail;
-            debug_assert_ne!(lru, NIL, "non-empty map must have a tail");
-            if lru == NIL {
-                break;
-            }
-            self.unlink(lru);
-            self.map.remove(&self.nodes[lru as usize].key);
-            self.free.push(lru);
-            self.evictions += 1;
-            hetsel_obs::static_counter!("hetsel.core.cache.eviction").inc();
-        }
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                let n = &mut self.nodes[idx as usize];
-                n.key = key.clone();
-                n.decision = decision;
-                idx
-            }
-            None => {
-                let idx = self.nodes.len() as u32;
-                self.nodes.push(LruNode {
-                    key: key.clone(),
-                    decision,
-                    prev: NIL,
-                    next: NIL,
-                });
-                idx
-            }
-        };
-        self.push_front(idx);
-        self.map.insert(key, idx);
-    }
-}
-
-/// Default decision-cache capacity: generous for a program with tens of
-/// regions and a handful of binding regimes each.
-pub const DEFAULT_DECISION_CACHE: usize = 1024;
-
-/// Default shard count for the decision cache: a power of two sized for the
-/// core counts this runtime targets (the build environment is offline, so
-/// this is a constant rather than a `num_cpus` probe). Sixteen stripes keep
-/// eight to sixteen deciding threads almost always on disjoint locks.
-pub const DEFAULT_DECISION_SHARDS: usize = 16;
-
-/// One lock stripe of the sharded cache: a bounded LRU behind its own
-/// mutex, with the hit/miss tallies kept *outside* the lock so the
-/// aggregated [`DecisionCacheStats`] never needs a stop-the-world pass.
-#[derive(Debug)]
-struct CacheShard {
-    lru: Mutex<LruCache>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// A sharded, lock-striped decision cache: `CacheKey`s are hashed onto a
-/// power-of-two number of independent [`LruCache`]s so concurrent
-/// `decide()` calls for different keys almost never contend on the same
-/// mutex. The total memory bound is unchanged by sharding — per-shard
-/// capacities are carved out of the requested capacity and sum to exactly
-/// it.
-#[derive(Debug)]
-struct ShardedCache {
-    shards: Box<[CacheShard]>,
-    mask: usize,
-}
-
-impl ShardedCache {
-    /// Builds `shards` stripes (rounded down to a power of two, clamped to
-    /// `[1, capacity]` so every shard holds at least one entry and the
-    /// stripes sum to exactly `capacity`).
-    fn new(capacity: usize, shards: usize) -> ShardedCache {
-        let capacity = capacity.max(1);
-        let shards = shards.clamp(1, capacity);
-        // Round down to a power of two so shard selection is a mask.
-        let shards = 1usize << shards.ilog2();
-        let base = capacity / shards;
-        let extra = capacity % shards;
-        let stripes: Vec<CacheShard> = (0..shards)
-            .map(|i| CacheShard {
-                lru: Mutex::new(LruCache::new(base + usize::from(i < extra))),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-            })
-            .collect();
-        ShardedCache {
-            shards: stripes.into_boxed_slice(),
-            mask: shards - 1,
-        }
-    }
-
-    /// The shard a key lives in: a mask over the key's precomputed FNV-1a
-    /// hash — no hasher runs here, so shard selection costs two
-    /// instructions and placement is deterministic within and across
-    /// processes.
-    fn shard_index(&self, key: &CacheKey) -> usize {
-        (key.hash as usize) & self.mask
-    }
-
-    fn shard(&self, key: &CacheKey) -> &CacheShard {
-        &self.shards[self.shard_index(key)]
-    }
-}
-
-/// Emits one flight-recorder event for an engine verdict. The disabled
-/// path is a single relaxed atomic load inside
-/// [`hetsel_obs::record_event`] — the closure (and therefore every field
-/// read below) runs only while recording is on, and even then allocates
-/// nothing: the event is a fixed-size stack value serialized into the
-/// recorder's preallocated ring.
-#[inline]
-fn record_decide_event(decision: &Decision, binding_hash: u64, cache_hit: bool) {
-    hetsel_obs::record_event(|| {
-        let mut ev =
-            hetsel_obs::DecisionEvent::new(hetsel_obs::EventKind::Decide, &decision.region);
-        ev.binding_hash = binding_hash;
-        ev.device = decision.device_id.0;
-        ev.verdict_accel = decision.device == Device::Gpu;
-        ev.cache_hit = cache_hit;
-        ev.predicted_cpu_s = decision.predicted_cpu_s.unwrap_or(f64::NAN);
-        ev.predicted_accel_s = decision.predicted_gpu_s.unwrap_or(f64::NAN);
-        ev
-    });
-    // A calibration flip on a *freshly evaluated* verdict gets its own
-    // event (cached copies of a flipped decision do not re-announce it):
-    // `detail` 1 = the correction was applied (Active), 0 = a shadow-mode
-    // would-flip; the predicted fields carry the raw predictions the flip
-    // was measured against.
-    if !cache_hit {
-        if let Some(tag) = decision.calibration.filter(|t| t.flipped) {
-            hetsel_obs::record_event(|| {
-                let mut ev = hetsel_obs::DecisionEvent::new(
-                    hetsel_obs::EventKind::CalibrationFlip,
-                    &decision.region,
-                );
-                ev.binding_hash = binding_hash;
-                ev.device = decision.device_id.0;
-                ev.verdict_accel = decision.device == Device::Gpu;
-                ev.detail = u8::from(tag.applied);
-                ev.predicted_cpu_s = tag.raw_cpu_s.unwrap_or(f64::NAN);
-                ev.predicted_accel_s = tag.raw_gpu_s.unwrap_or(f64::NAN);
-                ev
-            });
-        }
-    }
-}
-
-/// The compile-once decision engine: a [`Selector`] bound to a precompiled
-/// [`AttributeDatabase`] plus a bounded LRU cache of decisions.
-///
-/// This is the paper's runtime component in full: regions were compiled
-/// once (models, IPDA, loadouts all precomputed); at execution time
-/// [`DecisionEngine::decide`] binds the runtime values, and because a
-/// program re-reaches the same region with the same extents over and over,
-/// the decision itself is memoized on `(region, resolved parameter values)`.
-/// Cached and freshly evaluated decisions are identical — the cache stores
-/// the full [`Decision`], evidence and errors included.
-#[derive(Debug)]
-pub struct DecisionEngine {
-    selector: Selector,
-    database: AttributeDatabase,
-    cache: ShardedCache,
-}
-
-impl DecisionEngine {
-    /// Compiles `kernels` under `selector`'s configuration and wraps the
-    /// result with a decision cache of [`DEFAULT_DECISION_CACHE`] entries
-    /// striped over [`DEFAULT_DECISION_SHARDS`] shards.
-    pub fn new(selector: Selector, kernels: &[Kernel]) -> DecisionEngine {
-        DecisionEngine::with_capacity(selector, kernels, DEFAULT_DECISION_CACHE)
-    }
-
-    /// As [`DecisionEngine::new`] with an explicit cache capacity
-    /// (minimum 1).
-    pub fn with_capacity(
-        selector: Selector,
-        kernels: &[Kernel],
-        capacity: usize,
-    ) -> DecisionEngine {
-        let database = AttributeDatabase::compile(kernels, &selector);
-        DecisionEngine::from_database(selector, database, capacity)
-    }
-
-    /// Wraps an already-compiled database. The database must have been
-    /// compiled with this selector's configuration for decisions to match
-    /// cold [`Selector::decide`] calls on the bare kernels.
-    pub fn from_database(
-        selector: Selector,
-        database: AttributeDatabase,
-        capacity: usize,
-    ) -> DecisionEngine {
-        DecisionEngine::from_database_sharded(selector, database, capacity, DEFAULT_DECISION_SHARDS)
-    }
-
-    /// As [`DecisionEngine::from_database`] with an explicit shard count.
-    /// `shards` is rounded down to a power of two and clamped to
-    /// `[1, capacity]`; `shards == 1` reproduces the old single-mutex cache
-    /// (the baseline the contention benchmark compares against).
-    pub fn from_database_sharded(
-        selector: Selector,
-        database: AttributeDatabase,
-        capacity: usize,
-        shards: usize,
-    ) -> DecisionEngine {
-        DecisionEngine {
-            selector,
-            database,
-            cache: ShardedCache::new(capacity, shards),
-        }
-    }
-
-    /// The selector the engine decides with.
-    pub fn selector(&self) -> &Selector {
-        &self.selector
-    }
-
-    /// The compiled attribute database.
-    pub fn database(&self) -> &AttributeDatabase {
-        &self.database
-    }
-
-    /// The calibration epoch cache keys are stamped with: the calibrator's
-    /// current epoch in Active mode (one relaxed atomic load), 0 in Off
-    /// and Shadow modes — those verdicts never depend on corrections, so
-    /// their cache entries must survive publications untouched.
-    #[inline]
-    fn calib_epoch(&self) -> u64 {
-        match self.selector.calibration {
-            CalibrationMode::Active => self.selector.calibrator.epoch(),
-            _ => 0,
-        }
-    }
-
-    /// Takes (or recalls) the offloading decision for `region` under
-    /// `binding`. Returns `None` only for a region the database does not
-    /// know. A cached decision is bit-identical to what evaluation would
-    /// produce, because the models are deterministic in the key.
-    pub fn decide(&self, region: &str, binding: &Binding) -> Option<Decision> {
-        let _timer = hetsel_obs::static_histogram!("hetsel.core.decide.ns").start_timer();
-        let (id, attrs) = self.database.region_entry(region)?;
-        let key = CacheKey::new(
-            id,
-            DeviceId::FLEET,
-            OWN_POLICY,
-            self.calib_epoch(),
-            attrs,
-            binding,
-        );
-        Some(self.decide_cached(key, || self.selector.decide(attrs, binding)))
-    }
-
-    /// The probe → evaluate → insert dance every cached single-decision
-    /// path shares. Probes `key`'s shard, runs `eval` on a miss, then
-    /// re-probes under the insert lock: another thread may have completed
-    /// the same miss while this one was evaluating. The loser takes the
-    /// cached copy (bit-identical — the models are deterministic in the
-    /// key) and counts a late hit, so `misses == insertions` holds
-    /// exactly even under concurrent duplicate misses. Hit/miss counters
-    /// and the flight-recorder `Decide` event are emitted here, so every
-    /// caller is observable by construction.
-    fn decide_cached(&self, key: CacheKey, eval: impl FnOnce() -> Decision) -> Decision {
-        let shard = self.cache.shard(&key);
-        if let Some(cached) = shard.lru.lock().get(&key) {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            hetsel_obs::static_counter!("hetsel.core.cache.hit").inc();
-            record_decide_event(&cached, key.hash, true);
-            return cached;
-        }
-        let decision = eval();
-        let mut lru = shard.lru.lock();
-        if let Some(cached) = lru.get(&key) {
-            drop(lru);
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            hetsel_obs::static_counter!("hetsel.core.cache.hit").inc();
-            record_decide_event(&cached, key.hash, true);
-            return cached;
-        }
-        let binding_hash = key.hash;
-        lru.insert(key, decision.clone());
-        drop(lru);
-        shard.misses.fetch_add(1, Ordering::Relaxed);
-        hetsel_obs::static_counter!("hetsel.core.cache.miss").inc();
-        record_decide_event(&decision, binding_hash, false);
-        decision
-    }
-
-    /// Takes (or recalls) the decision for `region` with the candidate set
-    /// restricted to the host plus the one device `device` names
-    /// ([`DeviceId::HOST`] restricts to the host alone). Returns `None`
-    /// for an unknown region, a device id the fleet does not register, or
-    /// an accelerator the database carries no compiled model for.
-    ///
-    /// Scoped decisions share the engine's cache under a
-    /// `(RegionId, DeviceId, values)` key and are as allocation-free on a
-    /// hit as [`DecisionEngine::decide`] (proven by
-    /// `core/tests/zero_alloc.rs`). With the fleet's primary accelerator
-    /// as scope the answer is bit-identical to `decide` on a pair fleet.
-    pub fn decide_for(
-        &self,
-        region: &str,
-        binding: &Binding,
-        device: DeviceId,
-    ) -> Option<Decision> {
-        let _timer = hetsel_obs::static_histogram!("hetsel.core.decide.ns").start_timer();
-        let (id, attrs) = self.database.region_entry(region)?;
-        let scope = if device.is_host() {
-            None
-        } else {
-            let fleet_idx = self.selector.fleet.accel_index(device)?;
-            // The database must carry a compiled model for this accelerator.
-            attrs.accel_model(fleet_idx)?;
-            Some(fleet_idx)
-        };
-        let key = CacheKey::new(id, device, OWN_POLICY, self.calib_epoch(), attrs, binding);
-        Some(self.decide_cached(key, || {
-            self.selector.decide_restricted(attrs, binding, scope)
-        }))
-    }
-
-    /// Takes (or recalls) the decision for `region` under a per-request
-    /// policy override. Overridden decisions live in their own
-    /// policy-tagged cache partition (see [`CacheKey`]) so they are as
-    /// warm, as cheap, and as observable as plain decisions — cache
-    /// hit/miss accounting and flight-recorder events included — without
-    /// ever cross-answering a request decided under a different policy.
-    fn decide_overridden(
-        &self,
-        region: &str,
-        binding: &Binding,
-        policy: Policy,
-    ) -> Option<Decision> {
-        let _timer = hetsel_obs::static_histogram!("hetsel.core.decide.ns").start_timer();
-        let (id, attrs) = self.database.region_entry(region)?;
-        let key = CacheKey::new(
-            id,
-            DeviceId::FLEET,
-            policy_code(policy),
-            self.calib_epoch(),
-            attrs,
-            binding,
-        );
-        Some(self.decide_cached(key, || self.selector.decide_under(policy, attrs, binding)))
-    }
-
-    /// Takes (or recalls) the decision for one [`DecisionRequest`],
-    /// honouring its policy override and deadline. Returns `None` only for
-    /// a region the database does not know.
-    ///
-    /// * No override, no deadline: exactly [`DecisionEngine::decide`]
-    ///   (cache included) — a plain request adds nothing to the hot path.
-    /// * Policy override: decided under the overridden policy in its own
-    ///   policy-tagged cache partition — warm, recorded in the flight
-    ///   recorder, and never cross-answering a plain request.
-    /// * Deadline: a zero budget skips model evaluation entirely; a missed
-    ///   budget degrades the reply to the compiler default (offload) with
-    ///   [`ModelError::DeadlineExceeded`] recorded on both sides. The
-    ///   degraded reply itself is never cached, but a late *computed*
-    ///   answer already went into the cache before the budget check, so a
-    ///   retry of the same key is a warm hit instead of a second blown
-    ///   budget.
-    pub fn decide_request(&self, request: &DecisionRequest) -> Option<Decision> {
-        self.decide_request_bounded(request, None).map(|(d, _)| d)
-    }
-
-    /// As [`DecisionEngine::decide_request`] with an explicit deadline,
-    /// overriding any deadline the request already carries. The override is
-    /// applied in place — the request is not cloned.
-    pub fn decide_within(&self, request: &DecisionRequest, deadline: Duration) -> Option<Decision> {
-        self.decide_request_bounded(request, Some(deadline))
-            .map(|(d, _)| d)
-    }
-
-    /// Shared request path: `deadline_override`, when present, replaces the
-    /// request's own deadline without materialising a modified request.
-    /// The `bool` is true iff the decision was deadline-degraded (the
-    /// dispatcher records that as a fallback).
-    pub(crate) fn decide_request_bounded(
-        &self,
-        request: &DecisionRequest,
-        deadline_override: Option<Duration>,
-    ) -> Option<(Decision, bool)> {
-        let start = Instant::now();
-        let deadline = deadline_override.or_else(|| request.deadline());
-        if deadline.is_some_and(|d| d.is_zero()) {
-            // No budget at all: don't even evaluate, but still refuse
-            // unknown regions.
-            self.database.region(request.region())?;
-            return Some((self.deadline_degraded(request.region()), true));
-        }
-        let decision = match request.policy_override() {
-            None => self.decide(request.region(), request.binding())?,
-            Some(policy) => self.decide_overridden(request.region(), request.binding(), policy)?,
-        };
-        // Both branches cached the computed decision above, so a blown
-        // budget does not waste the ~µs cold evaluation: the reply
-        // degrades, but a retry of the same key is a warm hit.
-        if deadline.is_some_and(|d| start.elapsed() > d) {
-            return Some((self.deadline_degraded(request.region()), true));
-        }
-        Some((decision, false))
-    }
-
-    /// The decision a deadline miss degrades to: the compiler default
-    /// (offload to the primary accelerator; the host for a host-only
-    /// fleet) with the reason recorded on both model sides — nothing was
-    /// predicted, not because the models failed, but because the budget
-    /// ran out before they could answer.
-    fn deadline_degraded(&self, region: &str) -> Decision {
-        hetsel_obs::static_counter!("hetsel.core.decide.deadline_exceeded").inc();
-        let primary = self.selector.fleet.primary_accelerator().map(|_| (0, None));
-        let (decision, _) = self.selector.verdict(
-            Policy::AlwaysOffload,
-            region,
-            None,
-            &mut primary.into_iter(),
-            None,
-        );
-        Decision {
-            cpu_error: Some(ModelError::DeadlineExceeded),
-            gpu_error: Some(ModelError::DeadlineExceeded),
-            ..decision
-        }
-    }
-
-    /// Takes (or recalls) the decisions for a whole batch of requests at
-    /// once, returning one slot per request in request order (`None` for
-    /// unknown regions, exactly as [`DecisionEngine::decide_request`]
-    /// would).
-    ///
-    /// Plain requests are grouped by cache shard so each shard's lock is
-    /// taken at most twice — once for all of the group's lookups, once for
-    /// all of its inserts — instead of twice per request. Cold misses from
-    /// *every* shard are then evaluated in one pass with no lock held.
-    /// That pass is spelled as a rayon `into_par_iter`, but the vendored
-    /// `rayon` is a sequential stand-in, so it runs serially on the
-    /// calling thread; the models are pure functions of
-    /// `(region, binding)`, so a parallel pass would be bit-for-bit
-    /// identical. Requests carrying a policy override or
-    /// deadline take the individual [`DecisionEngine::decide_request`] path
-    /// (overrides live in their own cache partition; deadlines need the
-    /// per-request clock). Decisions and hit/miss accounting are identical
-    /// to issuing the requests one by one.
-    pub fn decide_batch(&self, requests: &[DecisionRequest]) -> Vec<Option<Decision>> {
-        let mut results: Vec<Option<Decision>> = vec![None; requests.len()];
-        // One epoch read covers the whole batch: every plain request in it
-        // is keyed (and answered) under the same calibration epoch.
-        let epoch = self.calib_epoch();
-        // Resolve keys and group plain request indices by shard.
-        let mut keyed: Vec<Option<(CacheKey, &RegionAttributes)>> =
-            Vec::with_capacity(requests.len());
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.cache.shards.len()];
-        for (i, request) in requests.iter().enumerate() {
-            if request.policy_override().is_some() || request.deadline().is_some() {
-                results[i] = self.decide_request(request);
-                keyed.push(None);
-                continue;
-            }
-            match self.database.region_entry(request.region()) {
-                Some((id, attrs)) => {
-                    let key = CacheKey::new(
-                        id,
-                        DeviceId::FLEET,
-                        OWN_POLICY,
-                        epoch,
-                        attrs,
-                        request.binding(),
-                    );
-                    by_shard[self.cache.shard_index(&key)].push(i);
-                    keyed.push(Some((key, attrs)));
-                }
-                None => keyed.push(None),
-            }
-        }
-        // Phase 1: one lock per shard for every lookup in its group. A
-        // repeated key later in the batch is a hit against the earlier
-        // request's (still pending) evaluation — the same accounting serial
-        // decides would produce.
-        /// Per-shard phase-1 outcome: which request slots missed and which
-        /// are intra-batch duplicates of an earlier miss `(slot, source)`.
-        struct ShardPlan {
-            shard: usize,
-            missed: Vec<usize>,
-            duplicates: Vec<(usize, usize)>,
-        }
-        let mut plans: Vec<ShardPlan> = Vec::new();
-        for (shard_idx, indices) in by_shard.iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            let shard = &self.cache.shards[shard_idx];
-            let mut missed: Vec<usize> = Vec::new();
-            let mut duplicates: Vec<(usize, usize)> = Vec::new(); // (slot, source slot)
-            let mut pending: HashMap<&CacheKey, usize> = HashMap::new();
-            let mut lru = shard.lru.lock();
-            for &i in indices {
-                let (key, _) = keyed[i].as_ref().expect("grouped index was keyed");
-                match lru.get(key) {
-                    Some(cached) => {
-                        shard.hits.fetch_add(1, Ordering::Relaxed);
-                        hetsel_obs::static_counter!("hetsel.core.cache.hit").inc();
-                        record_decide_event(&cached, key.hash, true);
-                        results[i] = Some(cached);
-                    }
-                    None => match pending.get(key) {
-                        Some(&first) => duplicates.push((i, first)),
-                        None => {
-                            pending.insert(key, i);
-                            missed.push(i);
-                        }
-                    },
-                }
-            }
-            drop(lru);
-            if !missed.is_empty() {
-                plans.push(ShardPlan {
-                    shard: shard_idx,
-                    missed,
-                    duplicates,
-                });
-            }
-        }
-        // Phase 2: evaluate every cold miss across all shards in one pass
-        // (serial under the vendored rayon), no lock held. Results come
-        // back tagged with their request slot and are scattered in order,
-        // so the output is independent of evaluation order.
-        let all_missed: Vec<usize> = plans
-            .iter()
-            .flat_map(|plan| plan.missed.iter().copied())
-            .collect();
-        let evaluated: Vec<(usize, Decision)> = all_missed
-            .into_par_iter()
-            .map(|i| {
-                let (_, attrs) = keyed[i].as_ref().expect("grouped index was keyed");
-                (i, self.selector.decide(*attrs, requests[i].binding()))
-            })
-            .collect();
-        for (i, decision) in evaluated {
-            results[i] = Some(decision);
-        }
-        // Phase 3: duplicates copy their source slot as hits, then each
-        // shard takes its lock once more for the inserts, re-probing each
-        // key: a concurrent caller may have completed the same miss since
-        // phase 1, and the loser counts a late hit (see `decide`) so
-        // `misses == insertions` holds exactly.
-        for plan in &plans {
-            let shard = &self.cache.shards[plan.shard];
-            for &(i, first) in &plan.duplicates {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                hetsel_obs::static_counter!("hetsel.core.cache.hit").inc();
-                results[i] = results[first].clone();
-                if let (Some(d), Some((key, _))) = (results[i].as_ref(), keyed[i].as_ref()) {
-                    record_decide_event(d, key.hash, true);
-                }
-            }
-            let mut lru = shard.lru.lock();
-            for &i in &plan.missed {
-                let (key, _) = keyed[i].as_ref().expect("grouped index was keyed");
-                if let Some(cached) = lru.get(key) {
-                    shard.hits.fetch_add(1, Ordering::Relaxed);
-                    hetsel_obs::static_counter!("hetsel.core.cache.hit").inc();
-                    record_decide_event(&cached, key.hash, true);
-                    results[i] = Some(cached);
-                    continue;
-                }
-                let decision = results[i].as_ref().expect("miss was evaluated");
-                lru.insert(key.clone(), decision.clone());
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-                hetsel_obs::static_counter!("hetsel.core.cache.miss").inc();
-                record_decide_event(decision, key.hash, false);
-            }
-        }
-        results
-    }
-
-    /// Takes the decision and explains it in the same call: the
-    /// explanation is the full evidence behind exactly that decision (see
-    /// [`Explanation::describes`](crate::explain::Explanation::describes)).
-    /// The decision goes through the cache as usual; the explanation is
-    /// always freshly evaluated, with its `cached` flag reporting whether
-    /// the decision key now sits in the cache.
-    pub fn decide_explained(
-        &self,
-        region: &str,
-        binding: &Binding,
-    ) -> Option<(Decision, crate::explain::Explanation)> {
-        let decision = self.decide(region, binding)?;
-        let explanation = self.explain(region, binding)?;
-        Some((decision, explanation))
-    }
-
-    /// Produces the full [`Explanation`](crate::explain::Explanation) for a
-    /// known region under `binding`, without consulting or populating the
-    /// decision cache (the `cached` field reports whether a decision for
-    /// this key is currently cached). Returns `None` for an unknown region.
-    pub fn explain(&self, region: &str, binding: &Binding) -> Option<crate::explain::Explanation> {
-        let (id, attrs) = self.database.region_entry(region)?;
-        let mut explanation = self.selector.explain(attrs, binding);
-        let key = CacheKey::new(
-            id,
-            DeviceId::FLEET,
-            OWN_POLICY,
-            self.calib_epoch(),
-            attrs,
-            binding,
-        );
-        explanation.cached = self.cache.shard(&key).lru.lock().contains(&key);
-        Some(explanation)
-    }
-
-    /// Cache statistics so far, aggregated over every shard. Hit and miss
-    /// tallies are shard-local atomics summed without taking any lock; each
-    /// shard's mutex is held briefly, one at a time, only to read its
-    /// occupancy and eviction count.
-    pub fn stats(&self) -> DecisionCacheStats {
-        let mut stats = DecisionCacheStats {
-            hits: 0,
-            misses: 0,
-            len: 0,
-            capacity: 0,
-            evictions: 0,
-            shards: self.cache.shards.len(),
-        };
-        for shard in self.cache.shards.iter() {
-            stats.hits += shard.hits.load(Ordering::Relaxed);
-            stats.misses += shard.misses.load(Ordering::Relaxed);
-            let lru = shard.lru.lock();
-            stats.len += lru.map.len();
-            stats.capacity += lru.capacity;
-            stats.evictions += lru.evictions;
-        }
-        stats
-    }
-
-    /// Publishes the current cache statistics as gauges in the process-wide
-    /// metrics registry: the aggregates under
-    /// `hetsel.core.cache.{hits,misses,len,capacity,evictions,shards}` plus
-    /// per-shard occupancy under
-    /// `hetsel.core.cache.shard.<i>.{hits,misses,len,evictions}`, so a
-    /// metrics snapshot taken by a harness reflects this engine — shard
-    /// balance included — without holding a reference to it. Counter values
-    /// saturate at `i64::MAX` instead of wrapping negative.
-    pub fn publish_stats(&self) -> DecisionCacheStats {
-        let stats = self.stats();
-        let registry = hetsel_obs::registry();
-        registry
-            .gauge("hetsel.core.cache.hits")
-            .set(saturating_i64(stats.hits));
-        registry
-            .gauge("hetsel.core.cache.misses")
-            .set(saturating_i64(stats.misses));
-        registry
-            .gauge("hetsel.core.cache.len")
-            .set(saturating_i64(stats.len as u64));
-        registry
-            .gauge("hetsel.core.cache.capacity")
-            .set(saturating_i64(stats.capacity as u64));
-        registry
-            .gauge("hetsel.core.cache.evictions")
-            .set(saturating_i64(stats.evictions));
-        registry
-            .gauge("hetsel.core.cache.shards")
-            .set(saturating_i64(stats.shards as u64));
-        for (i, shard) in self.cache.shards.iter().enumerate() {
-            let (len, evictions) = {
-                let lru = shard.lru.lock();
-                (lru.map.len() as u64, lru.evictions)
-            };
-            for (leaf, value) in [
-                ("hits", shard.hits.load(Ordering::Relaxed)),
-                ("misses", shard.misses.load(Ordering::Relaxed)),
-                ("len", len),
-                ("evictions", evictions),
-            ] {
-                registry
-                    .gauge(&hetsel_obs::metrics::shard_metric_name(
-                        "hetsel.core.cache.shard",
-                        i,
-                        leaf,
-                    ))
-                    .set(saturating_i64(value));
-            }
-        }
-        stats
-    }
-}
-
-/// Narrows a counter value into a gauge without wrapping: values above
-/// `i64::MAX` clamp to `i64::MAX` instead of going negative.
-fn saturating_i64(v: u64) -> i64 {
-    i64::try_from(v).unwrap_or(i64::MAX)
 }
 
 #[cfg(test)]
@@ -2230,136 +1018,6 @@ mod tests {
         let d = selector().decide(&k, &binding(Dataset::Test));
         assert_eq!(d.cpu_error, None);
         assert_eq!(d.gpu_error, None);
-    }
-
-    fn engine_with(kernels: &[Kernel], capacity: usize) -> DecisionEngine {
-        DecisionEngine::with_capacity(selector(), kernels, capacity)
-    }
-
-    #[test]
-    fn cached_decision_identical_to_uncached() {
-        // Acceptance criterion: for every suite kernel, the engine's cached
-        // answer equals both its own first (uncached) answer and what a cold
-        // selector computes from scratch.
-        let kernels: Vec<Kernel> = hetsel_polybench::suite()
-            .into_iter()
-            .flat_map(|b| b.kernels)
-            .collect();
-        let engine = DecisionEngine::new(selector(), &kernels);
-        let s = selector();
-        for bench in hetsel_polybench::suite() {
-            for ds in [Dataset::Mini, Dataset::Test, Dataset::Benchmark] {
-                let b = (bench.binding)(ds);
-                for k in &bench.kernels {
-                    let first = engine.decide(&k.name, &b).unwrap();
-                    let second = engine.decide(&k.name, &b).unwrap();
-                    assert_eq!(first, second, "{} {:?} cache changed answer", k.name, ds);
-                    let cold = s.decide(k, &b);
-                    assert_eq!(first, cold, "{} {:?} engine != cold path", k.name, ds);
-                }
-            }
-        }
-        let stats = engine.stats();
-        assert!(
-            stats.hits >= stats.misses,
-            "every miss was re-hit: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn cache_hits_and_misses_are_counted() {
-        let (k, binding) = find_kernel("gemm").unwrap();
-        let engine = engine_with(std::slice::from_ref(&k), 16);
-        let b = binding(Dataset::Test);
-        assert!(engine.decide("gemm", &b).is_some());
-        assert!(engine.decide("gemm", &b).is_some());
-        assert!(engine.decide("gemm", &b).is_some());
-        let stats = engine.stats();
-        assert_eq!((stats.hits, stats.misses, stats.len), (2, 1, 1));
-        // Unknown regions neither decide nor touch the counters.
-        assert!(engine.decide("missing", &b).is_none());
-        assert_eq!(engine.stats().hits, 2);
-    }
-
-    #[test]
-    fn distinct_bindings_get_distinct_entries() {
-        let (k, binding) = find_kernel("gemm").unwrap();
-        let engine = engine_with(std::slice::from_ref(&k), 16);
-        let d_small = engine.decide("gemm", &binding(Dataset::Mini)).unwrap();
-        let d_large = engine.decide("gemm", &binding(Dataset::Benchmark)).unwrap();
-        assert_eq!(engine.stats().misses, 2);
-        assert_ne!(d_small.predicted_cpu_s, d_large.predicted_cpu_s);
-        // Irrelevant extra symbols do not split the cache key.
-        let mut padded = binding(Dataset::Mini);
-        padded = padded.with("unrelated", 999);
-        let d_padded = engine.decide("gemm", &padded).unwrap();
-        assert_eq!(d_padded, d_small);
-        assert_eq!(engine.stats().misses, 2);
-    }
-
-    #[test]
-    fn unresolved_bindings_cache_the_fallback() {
-        let (k, _) = find_kernel("gemm").unwrap();
-        let engine = engine_with(std::slice::from_ref(&k), 16);
-        let d1 = engine.decide("gemm", &Binding::new()).unwrap();
-        let d2 = engine.decide("gemm", &Binding::new()).unwrap();
-        assert_eq!(d1, d2);
-        assert_eq!(d1.device, Device::Gpu);
-        assert!(d1.cpu_error.is_some());
-        let stats = engine.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-    }
-
-    #[test]
-    fn cache_stays_bounded_and_evicts_lru() {
-        // Recency ordering is a per-stripe guarantee, so this test pins the
-        // engine to a single shard to observe it end to end.
-        let (k, binding) = find_kernel("gemm").unwrap();
-        let sel = selector();
-        let db = AttributeDatabase::compile(std::slice::from_ref(&k), &sel);
-        let engine = DecisionEngine::from_database_sharded(sel, db, 2, 1);
-        let mini = binding(Dataset::Mini);
-        let test = binding(Dataset::Test);
-        let bench = binding(Dataset::Benchmark);
-        engine.decide("gemm", &mini).unwrap();
-        engine.decide("gemm", &test).unwrap();
-        // Touch `mini` so `test` is the least recently used...
-        engine.decide("gemm", &mini).unwrap();
-        // ...then overflow: `test` must be the one evicted.
-        engine.decide("gemm", &bench).unwrap();
-        assert_eq!(engine.stats().len, 2);
-        engine.decide("gemm", &mini).unwrap();
-        assert_eq!(engine.stats().misses, 3, "mini survived eviction");
-        engine.decide("gemm", &test).unwrap();
-        assert_eq!(engine.stats().misses, 4, "test was evicted");
-        assert!(engine.stats().len <= 2);
-        assert!(
-            engine.stats().evictions >= 2,
-            "both overflows evicted a live entry: {:?}",
-            engine.stats()
-        );
-    }
-
-    #[test]
-    fn stats_publish_to_the_metrics_registry() {
-        let (k, binding) = find_kernel("gemm").unwrap();
-        let engine = engine_with(std::slice::from_ref(&k), 16);
-        let b = binding(Dataset::Test);
-        engine.decide("gemm", &b).unwrap();
-        engine.decide("gemm", &b).unwrap();
-        let stats = engine.publish_stats();
-        assert_eq!(stats.evictions, 0);
-        let registry = hetsel_obs::registry();
-        assert_eq!(
-            registry.gauge("hetsel.core.cache.hits").get(),
-            stats.hits as i64
-        );
-        assert_eq!(
-            registry.gauge("hetsel.core.cache.misses").get(),
-            stats.misses as i64
-        );
-        // (`hetsel.core.cache.len` is also written by concurrent tests'
-        // engines, so only the single-writer gauges are asserted on.)
     }
 
     #[test]
@@ -2483,279 +1141,6 @@ mod tests {
         let (cpu, gpu) = s.predict(&k, &binding(Dataset::Test));
         assert!(cpu.is_ok());
         assert!(matches!(gpu, Err(ModelError::UnsupportedShape { .. })));
-    }
-
-    #[test]
-    fn decide_for_restricts_the_candidate_set() {
-        let kernels: Vec<Kernel> = vec![find_kernel("gemm").unwrap().0];
-        let fleet = Fleet::pair_labeled(&Platform::power9_v100(), "v100")
-            .with_accelerator_from("k80", &Platform::power8_k80());
-        let sel = Selector::new(Platform::power9_v100()).with_fleet(fleet);
-        let engine = DecisionEngine::new(sel, &kernels);
-        let (_, binding) = find_kernel("gemm").unwrap();
-        let b = binding(Dataset::Benchmark);
-        let full = engine.decide("gemm", &b).unwrap();
-        // Restricting to the primary accelerator is the classic pair.
-        let primary = engine.decide_for("gemm", &b, DeviceId(1)).unwrap();
-        assert_eq!(&*primary.device_name, full.device_name.as_ref());
-        // A host-scoped decision cannot offload.
-        let host = engine.decide_for("gemm", &b, DeviceId::HOST).unwrap();
-        assert_eq!(host.device, Device::Host);
-        assert!(host.predicted_cpu_s.is_some());
-        // The k80 scope carries the true fleet identity.
-        let k80 = engine.decide_for("gemm", &b, DeviceId(2)).unwrap();
-        if k80.device == Device::Gpu {
-            assert_eq!((&*k80.device_name, k80.device_id), ("k80", DeviceId(2)));
-        }
-        // Scoped and whole-fleet decisions are cached under distinct keys.
-        let stats = engine.stats();
-        assert_eq!(stats.misses, 4, "{stats:?}");
-        assert_eq!(engine.decide_for("gemm", &b, DeviceId(2)).unwrap(), k80);
-        assert_eq!(engine.stats().hits, 1);
-        // Unregistered ids refuse rather than guess.
-        assert!(engine.decide_for("gemm", &b, DeviceId(9)).is_none());
-    }
-
-    #[test]
-    fn shard_capacities_sum_to_the_requested_capacity() {
-        for capacity in [1, 2, 3, 7, 16, 100, 1000, 1024] {
-            for shards in [1, 2, 3, 5, 8, 16, 64] {
-                let cache = ShardedCache::new(capacity, shards);
-                assert!(cache.shards.len().is_power_of_two());
-                assert!(cache.shards.len() <= capacity.max(1));
-                let total: usize = cache.shards.iter().map(|s| s.lru.lock().capacity).sum();
-                assert_eq!(
-                    total, capacity,
-                    "capacity {capacity} over {shards} shards inflated to {total}"
-                );
-                assert!(cache.shards.iter().all(|s| s.lru.lock().capacity >= 1));
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_engine_reports_shard_count_and_stays_bounded() {
-        let (k, binding) = find_kernel("gemm").unwrap();
-        let engine = engine_with(std::slice::from_ref(&k), 8);
-        let stats = engine.stats();
-        assert_eq!(stats.shards, 8, "8 entries cap the stripes at 8");
-        assert_eq!(stats.capacity, 8);
-        // Thrash with far more distinct bindings than capacity.
-        let mut base = binding(Dataset::Mini);
-        for n in 1..200 {
-            base.set("n", n);
-            engine.decide("gemm", &base).unwrap();
-        }
-        let stats = engine.stats();
-        assert!(stats.len <= stats.capacity, "{stats:?}");
-        assert_eq!(stats.hits + stats.misses, 199, "{stats:?}");
-    }
-
-    #[test]
-    fn decide_batch_matches_one_by_one_decides() {
-        let kernels: Vec<Kernel> = hetsel_polybench::suite()
-            .into_iter()
-            .flat_map(|b| b.kernels)
-            .collect();
-        let batch_engine = DecisionEngine::new(selector(), &kernels);
-        let solo_engine = DecisionEngine::new(selector(), &kernels);
-        let mut requests: Vec<(String, Binding)> = Vec::new();
-        for bench in hetsel_polybench::suite() {
-            for ds in [Dataset::Mini, Dataset::Benchmark] {
-                for k in &bench.kernels {
-                    requests.push((k.name.clone(), (bench.binding)(ds)));
-                }
-            }
-        }
-        // Unknown regions produce `None` slots without disturbing others;
-        // a duplicate of the first request exercises intra-batch reuse.
-        requests.push(("no-such-region".to_string(), Binding::new()));
-        requests.push(requests[0].clone());
-        let built: Vec<DecisionRequest> = requests
-            .iter()
-            .map(|(r, b)| DecisionRequest::new(r.clone(), b.clone()))
-            .collect();
-        let batched = batch_engine.decide_batch(&built);
-        assert_eq!(batched.len(), requests.len());
-        for (i, (region, b)) in requests.iter().enumerate() {
-            let solo = solo_engine.decide(region, b);
-            assert_eq!(batched[i], solo, "slot {i} ({region}) diverged");
-        }
-        // Identical traffic, identical accounting.
-        let (bs, ss) = (batch_engine.stats(), solo_engine.stats());
-        assert_eq!((bs.hits, bs.misses), (ss.hits, ss.misses));
-        let decided = batched.iter().filter(|d| d.is_some()).count() as u64;
-        assert_eq!(bs.hits + bs.misses, decided);
-        // A second identical batch is all hits.
-        let again = batch_engine.decide_batch(&built);
-        assert_eq!(again, batched);
-        assert_eq!(batch_engine.stats().misses, bs.misses);
-    }
-
-    #[test]
-    fn saturating_i64_clamps_instead_of_wrapping() {
-        assert_eq!(saturating_i64(0), 0);
-        assert_eq!(saturating_i64(42), 42);
-        assert_eq!(saturating_i64(i64::MAX as u64), i64::MAX);
-        assert_eq!(saturating_i64(i64::MAX as u64 + 1), i64::MAX);
-        assert_eq!(saturating_i64(u64::MAX), i64::MAX);
-    }
-
-    #[test]
-    fn cache_queue_compaction_keeps_hits_working() {
-        // Hammer a single entry far past the compaction threshold; the
-        // entry must remain a hit throughout and the cache stay bounded.
-        let (k, binding) = find_kernel("gemm").unwrap();
-        let engine = engine_with(std::slice::from_ref(&k), 2);
-        let b = binding(Dataset::Test);
-        for _ in 0..500 {
-            assert!(engine.decide("gemm", &b).is_some());
-        }
-        let stats = engine.stats();
-        assert_eq!((stats.hits, stats.misses, stats.len), (499, 1, 1));
-    }
-
-    #[test]
-    fn plain_requests_match_decide_exactly() {
-        let (k, binding) = find_kernel("gemm").unwrap();
-        let engine = engine_with(std::slice::from_ref(&k), 16);
-        let b = binding(Dataset::Test);
-        let request = DecisionRequest::new("gemm", b.clone());
-        let via_request = engine.decide_request(&request).unwrap();
-        let via_decide = engine.decide("gemm", &b).unwrap();
-        assert_eq!(via_request, via_decide);
-        // The plain request went through the cache like any decide call.
-        assert_eq!(engine.stats().hits, 1);
-        // Unknown regions refuse, deadline or not.
-        assert!(engine
-            .decide_request(&DecisionRequest::new("missing", b.clone()))
-            .is_none());
-        assert!(engine
-            .decide_request(&DecisionRequest::new("missing", b).with_deadline(Duration::ZERO))
-            .is_none());
-    }
-
-    #[test]
-    fn policy_overrides_use_a_scoped_cache_partition() {
-        let (k, binding) = find_kernel("gemm").unwrap();
-        let engine = engine_with(std::slice::from_ref(&k), 16);
-        let b = binding(Dataset::Test);
-        let request = DecisionRequest::new("gemm", b.clone()).with_policy(Policy::AlwaysHost);
-        let host = engine.decide_request(&request).unwrap();
-        assert_eq!(
-            (host.device, host.policy),
-            (Device::Host, Policy::AlwaysHost)
-        );
-        // The override populated its own policy partition...
-        let stats = engine.stats();
-        assert_eq!((stats.hits, stats.misses, stats.len), (0, 1, 1));
-        // ...which a repeat of the same override answers warm...
-        let again = engine.decide_request(&request).unwrap();
-        assert_eq!(again, host);
-        assert_eq!(engine.stats().hits, 1);
-        // ...while the engine's own policy still evaluates independently:
-        // the foreign-policy entry can never answer a plain decide.
-        let own = engine.decide("gemm", &b).unwrap();
-        assert_eq!(own.policy, Policy::ModelDriven);
-        let stats = engine.stats();
-        assert_eq!((stats.misses, stats.len), (2, 2));
-    }
-
-    #[test]
-    fn deadline_missed_computation_is_cached_for_retry() {
-        let (k, binding) = find_kernel("gemm").unwrap();
-        let engine = engine_with(std::slice::from_ref(&k), 16);
-        let b = binding(Dataset::Test);
-        // One nanosecond is a budget no cold evaluation can meet, but —
-        // unlike zero — it does not short-circuit evaluation, so the
-        // computed decision exists by the time the deadline check fires.
-        let tight = DecisionRequest::new("gemm", b.clone()).with_deadline(Duration::from_nanos(1));
-        let degraded = engine.decide_request(&tight).unwrap();
-        assert_eq!(degraded.cpu_error, Some(ModelError::DeadlineExceeded));
-        // The blown budget did not waste the evaluation: the computed
-        // decision went into the cache before the reply degraded, so the
-        // retry (with or without a deadline) is a warm hit.
-        assert_eq!((engine.stats().misses, engine.stats().len), (1, 1));
-        let retried = engine
-            .decide_request(&DecisionRequest::new("gemm", b.clone()))
-            .unwrap();
-        assert_eq!(engine.stats().hits, 1);
-        assert_eq!(retried.policy, Policy::ModelDriven);
-        assert_eq!(retried.cpu_error, None);
-        // Same story for the override branch: tight-deadline override
-        // misses its budget, but warms its policy partition for the retry.
-        let tight_host = DecisionRequest::new("gemm", b)
-            .with_policy(Policy::AlwaysHost)
-            .with_deadline(Duration::from_nanos(1));
-        let degraded = engine.decide_request(&tight_host).unwrap();
-        assert_eq!(degraded.cpu_error, Some(ModelError::DeadlineExceeded));
-        assert_eq!((engine.stats().misses, engine.stats().len), (2, 2));
-        let retried = engine
-            .decide_request(&tight_host.clone().with_deadline(Duration::from_secs(3600)))
-            .unwrap();
-        assert_eq!(engine.stats().hits, 2);
-        assert_eq!(retried.device, Device::Host);
-        assert_eq!(retried.policy, Policy::AlwaysHost);
-    }
-
-    #[test]
-    fn overridden_decisions_reach_the_flight_recorder() {
-        let (k, binding) = find_kernel("gemm").unwrap();
-        let engine = engine_with(std::slice::from_ref(&k), 16);
-        let b = binding(Dataset::Test);
-        hetsel_obs::set_flight_recording(true);
-        engine
-            .decide_request(&DecisionRequest::new("gemm", b).with_policy(Policy::AlwaysOffload))
-            .unwrap();
-        hetsel_obs::set_flight_recording(false);
-        // The override went through the recorded path: at least one
-        // Decide event for this region sits in the (process-global) ring.
-        // Other tests may be recording concurrently, so scan rather than
-        // count.
-        let seen = hetsel_obs::flight_recorder()
-            .snapshot()
-            .iter()
-            .any(|ev| ev.kind == hetsel_obs::EventKind::Decide && ev.region_str() == "gemm");
-        assert!(seen, "override emitted no flight-recorder Decide event");
-    }
-
-    #[test]
-    fn zero_deadline_degrades_to_the_compiler_default() {
-        let (k, binding) = find_kernel("gemm").unwrap();
-        let engine = engine_with(std::slice::from_ref(&k), 16);
-        let b = binding(Dataset::Test);
-        let request = DecisionRequest::new("gemm", b).with_deadline(Duration::ZERO);
-        let d = engine.decide_request(&request).unwrap();
-        assert_eq!(d.device, Device::Gpu);
-        assert_eq!(d.policy, Policy::AlwaysOffload);
-        assert_eq!(d.cpu_error, Some(ModelError::DeadlineExceeded));
-        assert_eq!(d.gpu_error, Some(ModelError::DeadlineExceeded));
-        assert_eq!(d.predicted_speedup(), None);
-        // Degraded decisions are not cached.
-        assert_eq!(engine.stats().len, 0);
-        // A generous deadline decides normally.
-        let request = request.with_deadline(Duration::from_secs(3600));
-        let d = engine.decide_request(&request).unwrap();
-        assert_eq!(d.policy, Policy::ModelDriven);
-    }
-
-    #[test]
-    fn decision_request_serde_round_trips() {
-        let request = DecisionRequest::new("gemm", Binding::new().with("ni", 1024).with("nj", 32))
-            .with_policy(Policy::AlwaysHost)
-            .with_deadline(Duration::from_nanos(1_234_567));
-        let json = serde_json::to_string(&request).unwrap();
-        let back: DecisionRequest = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, request);
-        // Optional fields serialize as null and round-trip to None.
-        let plain = DecisionRequest::new("atax", Binding::new());
-        let json = serde_json::to_string(&plain).unwrap();
-        assert!(json.contains("\"policy_override\":null"), "{json}");
-        let back: DecisionRequest = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plain);
-        // Unknown policies are rejected, not silently dropped.
-        let bad = json.replace("null", "\"turbo_mode\"");
-        assert!(serde_json::from_str::<DecisionRequest>(&bad).is_err());
     }
 
     #[test]

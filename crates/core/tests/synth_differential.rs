@@ -8,7 +8,12 @@
 //!
 //! * `Selector::decide(&Kernel)` (models compiled on the spot),
 //! * `DecisionEngine::decide` (precompiled models, cache miss),
-//! * the request's slot of one `DecisionEngine::decide_batch` call,
+//! * `DecisionEngine::decide` on an engine whose database went through
+//!   `AttributeDatabase::dump` and `from_snapshot_bytes`,
+//! * `DecisionEngine::decide_request` with a `ModelDriven` policy
+//!   override (the override cache partition),
+//! * both of the request's slots in one `DecisionEngine::decide_batch`
+//!   call that carries every request twice (a miss, then a hit on it),
 //! * `DecisionEngine::decide_for(primary)` (pair fleet only), and
 //! * `DecisionEngine::explain(..).describes(..)`
 //!
@@ -19,7 +24,7 @@ use std::sync::Arc;
 
 use hetsel_core::{
     AttributeDatabase, CalibrationMode, Calibrator, CalibratorConfig, Decision, DecisionEngine,
-    DecisionRequest, Device, DeviceId, Fleet, Platform, Selector,
+    DecisionRequest, Device, DeviceId, Fleet, Platform, Policy, Selector,
 };
 use hetsel_ir::synth::{generate, Rng};
 use hetsel_ir::{Binding, Kernel};
@@ -112,13 +117,29 @@ fn sweep(fleet: Fleet, mode: CalibrationMode, cases: &[(Kernel, Binding)]) -> Ce
     let kernels: Vec<Kernel> = cases.iter().map(|(k, _)| k.clone()).collect();
     let database = AttributeDatabase::compile(&kernels, &selector);
     let capacity = 4 * cases.len();
+    let mut snapshot = Vec::new();
+    database
+        .dump(&selector, &mut snapshot)
+        .expect("dump to memory");
+    let loaded =
+        AttributeDatabase::from_snapshot_bytes(&selector, &snapshot).expect("valid snapshot loads");
+    let snapshot_engine = DecisionEngine::from_database(selector.clone(), loaded, capacity);
     let engine = DecisionEngine::from_database(selector.clone(), database.clone(), capacity);
     let batch_engine = DecisionEngine::from_database(selector.clone(), database, capacity);
-    let requests: Vec<DecisionRequest> = cases
+    let twice: Vec<DecisionRequest> = cases
         .iter()
-        .map(|(k, b)| DecisionRequest::new(k.name.clone(), b.clone()))
+        .flat_map(|(k, b)| {
+            let request = DecisionRequest::new(k.name.clone(), b.clone());
+            [request.clone(), request]
+        })
         .collect();
-    let batch = batch_engine.decide_batch(&requests);
+    let batch = batch_engine.decide_batch(&twice);
+    let stats = batch_engine.stats();
+    assert_eq!(
+        (stats.misses, stats.hits),
+        (cases.len() as u64, cases.len() as u64),
+        "each request's first slot misses and its duplicate hits"
+    );
     let primary = selector.fleet().primary_accelerator().expect("accelerator");
     let pair = selector.fleet().accelerator_count() == 1;
 
@@ -127,12 +148,23 @@ fn sweep(fleet: Fleet, mode: CalibrationMode, cases: &[(Kernel, Binding)]) -> Ce
         flips: 0,
         accelerators: BTreeSet::new(),
     };
-    for ((kernel, binding), batched) in cases.iter().zip(&batch) {
+    for ((kernel, binding), batched) in cases.iter().zip(batch.chunks(2)) {
         let region = kernel.name.as_str();
         let cold = selector.decide(kernel, binding);
+        let overridden =
+            DecisionRequest::new(region, binding.clone()).with_policy(Policy::ModelDriven);
         let mut paths = vec![
             ("engine decide", engine.decide(region, binding)),
-            ("decide_batch slot", batched.clone()),
+            (
+                "snapshot-loaded decide",
+                snapshot_engine.decide(region, binding),
+            ),
+            (
+                "policy-overridden request",
+                engine.decide_request(&overridden),
+            ),
+            ("decide_batch first slot", batched[0].clone()),
+            ("decide_batch duplicate slot", batched[1].clone()),
         ];
         if pair {
             paths.push((

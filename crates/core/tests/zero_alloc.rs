@@ -17,9 +17,13 @@
 //! load; with recording *enabled* the event is written into the
 //! preallocated lock-free ring, so even the instrumented path stays
 //! allocation-free once the ring's one-time `Box` exists.
+//!
+//! The recorder switch is process-wide, so the test that turns it on and
+//! the test whose allocation profile it would change hold one shared lock.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use hetsel_core::{
@@ -66,6 +70,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Held by every test that flips the process-wide flight-recorder switch
+/// or counts allocations on a path that switch changes.
+static RECORDER: Mutex<()> = Mutex::new(());
+
+fn recorder_lock() -> MutexGuard<'static, ()> {
+    // A panicking holder poisons the lock but leaves nothing to repair.
+    RECORDER
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn cache_hit_decide_allocates_nothing() {
     let (kernel, binding) = find_kernel("gemm").unwrap();
@@ -109,6 +124,7 @@ fn cache_hit_decide_allocates_nothing() {
 
 #[test]
 fn cache_hit_decide_with_flight_recorder_enabled_allocates_nothing() {
+    let _recorder = recorder_lock();
     let (kernel, binding) = find_kernel("gemm").unwrap();
     let b = binding(Dataset::Benchmark);
     let engine = DecisionEngine::new(
@@ -247,12 +263,11 @@ fn scoped_cache_hit_decide_allocates_nothing() {
 }
 
 #[test]
-fn dispatch_within_allocates_no_more_than_dispatch() {
-    // `dispatch_within` once cloned the whole request just to attach the
-    // deadline — region string, binding vector and all. The override is
-    // now threaded through the bounded decide path in place, so a warm
-    // deadline-carrying dispatch must have exactly the allocation profile
-    // of a plain one.
+fn deadline_dispatch_allocates_no_more_than_dispatch() {
+    // A deadline travels inside the request to the engine's request path,
+    // so a warm deadline-carrying dispatch must have exactly the
+    // allocation profile of a plain one.
+    let _recorder = recorder_lock();
     let (kernel, binding) = find_kernel("gemm").unwrap();
     let b = binding(Dataset::Benchmark);
     let engine = DecisionEngine::new(
@@ -263,15 +278,15 @@ fn dispatch_within_allocates_no_more_than_dispatch() {
     let request = DecisionRequest::new("gemm", b);
     // A deadline no warm decision can miss: the decision itself stays
     // un-degraded, so both loops below execute the identical path apart
-    // from how the deadline reaches the engine.
-    let generous = Duration::from_secs(3600);
+    // from the deadline check.
+    let bounded_request = request.clone().with_deadline(Duration::from_secs(3600));
 
     // Prime the cache, the accuracy cells, and every lazily-created
     // metric on both variants before counting.
     for _ in 0..3 {
         dispatcher.dispatch(&request).expect("healthy dispatch");
         dispatcher
-            .dispatch_within(&request, generous)
+            .dispatch(&bounded_request)
             .expect("healthy bounded dispatch");
     }
 
@@ -285,13 +300,13 @@ fn dispatch_within_allocates_no_more_than_dispatch() {
     let before = allocs_on_this_thread();
     for _ in 0..N {
         dispatcher
-            .dispatch_within(&request, generous)
+            .dispatch(&bounded_request)
             .expect("healthy bounded dispatch");
     }
     let bounded = allocs_on_this_thread() - before;
 
     assert_eq!(
         bounded, plain,
-        "deadline override must not clone the request ({bounded} allocs over {N} bounded dispatches vs {plain} plain)"
+        "a deadline must not add allocations ({bounded} allocs over {N} bounded dispatches vs {plain} plain)"
     );
 }

@@ -530,6 +530,7 @@ mod tests {
     #[test]
     fn concurrent_writers_and_reader_never_tear() {
         let r = Arc::new(FlightRecorder::new(64));
+        let writers_done = Arc::new(AtomicBool::new(false));
         let writers: Vec<_> = (0..4)
             .map(|t| {
                 let r = Arc::clone(&r);
@@ -547,9 +548,14 @@ mod tests {
             .collect();
         let reader = {
             let r = Arc::clone(&r);
+            let writers_done = Arc::clone(&writers_done);
             thread::spawn(move || {
                 let mut seen = 0usize;
-                for _ in 0..200 {
+                let mut snapshots = 0usize;
+                // At least 200 snapshots, and at least one taken after
+                // every writer finished, so `seen` cannot race to zero.
+                loop {
+                    let finished = writers_done.load(Ordering::Acquire);
                     for e in r.snapshot() {
                         assert_eq!(
                             e.predicted_cpu_s, e.binding_hash as f64,
@@ -557,13 +563,17 @@ mod tests {
                         );
                         seen += 1;
                     }
+                    snapshots += 1;
+                    if finished && snapshots >= 200 {
+                        break seen;
+                    }
                 }
-                seen
             })
         };
         for w in writers {
             w.join().unwrap();
         }
+        writers_done.store(true, Ordering::Release);
         assert!(reader.join().unwrap() > 0);
         assert_eq!(r.total_recorded(), 20_000);
     }

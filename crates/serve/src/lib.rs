@@ -16,11 +16,10 @@
 //!    has something runnable: the serve-layer analogue of the
 //!    dispatcher's "the host is never fully load-shed" rule.
 //! 2. **Request coalescing.** Concurrent requests are drained in
-//!    *windows* and evaluated with one
+//!    *windows* and answered with one
 //!    [`decide_batch`](hetsel_core::DecisionEngine::decide_batch) call,
-//!    amortising cache-shard locking and the cold-miss evaluation pass
-//!    (serial: the vendored `rayon` is a sequential stand-in) across
-//!    every request that arrived close together.
+//!    which decides the window's requests one by one on the batcher
+//!    thread.
 //! 3. **Real deadline timers.** A dedicated timer thread answers a
 //!    deadline-carrying request the moment its budget expires — not
 //!    after evaluation happens to finish, which is all a synchronous

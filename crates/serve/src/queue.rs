@@ -1,10 +1,8 @@
 //! The admission queue: a bounded MPSC queue with a coalescing consumer.
 //!
 //! Producers are transport threads admitting requests; the single
-//! consumer is the batcher, which drains *windows* of requests so one
-//! `decide_batch` call amortises the shard locking and the (serial)
-//! cold-miss evaluation pass over every request that arrived close
-//! together.
+//! consumer is the batcher, which drains *windows* of requests and hands
+//! each window to one `decide_batch` call.
 //!
 //! The queue is deliberately built on `std::sync::{Mutex, Condvar}`, not
 //! the vendored `parking_lot` (which exposes no condvar): the consumer

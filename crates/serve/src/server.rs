@@ -4,9 +4,7 @@
 //! One batcher thread owns the engine-facing side. It drains coalescing
 //! windows from the [`AdmissionQueue`] and evaluates each window with a
 //! single [`DecisionEngine::decide_batch`](hetsel_core::DecisionEngine::decide_batch)
-//! call, so the per-request cost of shard locking and the (serial)
-//! cold-miss evaluation pass is paid once per *window*, not once per
-//! request. A
+//! call, which decides the window's requests in order. A
 //! separate [`DeadlineTimer`] thread answers deadline-carrying requests
 //! the moment their budget expires — requests handed to the engine have
 //! their deadlines stripped
@@ -105,11 +103,8 @@ impl Inner {
     /// Unknown regions shed as typed errors instead.
     fn shed_reply(&self, pending: &PendingRequest, reason: ShedReason) -> ServeReply {
         let request = &pending.serve.request;
-        let reply = match self
-            .dispatcher
-            .engine()
-            .decide_within(request, Duration::ZERO)
-        {
+        let zero_budget = request.clone().with_deadline(Duration::ZERO);
+        let reply = match self.dispatcher.engine().decide_request(&zero_budget) {
             Some(degraded) => ServeReply::shed(pending.serve.id, reason, &degraded),
             None => ServeReply::error(
                 pending.serve.id,

@@ -52,9 +52,12 @@ pub fn serve_lines(
         if reply.status() == "error" {
             stats.errors += 1;
         }
-        let rendered = serde_json::to_string(&reply).expect("replies always serialize");
+        let mut rendered = serde_json::to_string(&reply).expect("replies always serialize");
+        // One write per reply: on a socket with Nagle's algorithm on, a
+        // separate one-byte newline write waits for the peer's delayed ACK
+        // (~40 ms) before it is sent.
+        rendered.push('\n');
         writer.write_all(rendered.as_bytes())?;
-        writer.write_all(b"\n")?;
         writer.flush()?;
         stats.replies += 1;
     }
@@ -214,6 +217,72 @@ mod tests {
             assert_eq!(reply.status(), "ok");
             assert_eq!(reply.id(), Some(id));
         }
+        drop(writer);
+        server.shutdown();
+    }
+
+    /// A writer that counts the `write` calls reaching it.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_reply_line_is_one_write() {
+        let server = server();
+        let input = format!("{}\nnot json\n{}\n", request_line(1), request_line(2));
+        let mut out = CountingWriter::default();
+        let stats = serve_lines(&server.handle(), Cursor::new(input), &mut out).unwrap();
+        assert_eq!(stats.replies, 3);
+        assert_eq!(out.writes, 3, "one write per reply line");
+        assert_eq!(replies(&out.bytes).len(), 3);
+        server.shutdown();
+    }
+
+    #[test]
+    fn sequential_tcp_round_trips_do_not_stall() {
+        // A reply split over two writes waits for the client's delayed ACK
+        // on every round trip (~40 ms each, so 50 take at least 2 s).
+        let server = server();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = server.handle();
+        std::thread::spawn(move || {
+            let _ = serve_tcp(listener, handle);
+        });
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let lines: Vec<String> = (0..50u64)
+            .map(|id| format!("{}\n", request_line(id)))
+            .collect();
+        let start = std::time::Instant::now();
+        for (id, request) in (0u64..).zip(&lines) {
+            writer.write_all(request.as_bytes()).unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let reply: ServeReply = serde_json::from_str(&line).unwrap();
+            assert_eq!(reply.id(), Some(id));
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "50 round trips took {elapsed:?}"
+        );
         drop(writer);
         server.shutdown();
     }

@@ -137,10 +137,6 @@ fn the_request_api_surface_is_stable() {
         DecisionEngine::decide_request
     );
     pin!(
-        fn(&DecisionEngine, &DecisionRequest, Duration) -> Option<Decision>,
-        DecisionEngine::decide_within
-    );
-    pin!(
         fn(&DecisionEngine, &[DecisionRequest]) -> Vec<Option<Decision>>,
         DecisionEngine::decide_batch
     );
@@ -157,10 +153,6 @@ fn the_request_api_surface_is_stable() {
     pin!(
         fn(&Dispatcher, &DecisionRequest) -> Result<DispatchOutcome, DispatchError>,
         Dispatcher::dispatch
-    );
-    pin!(
-        fn(&Dispatcher, &DecisionRequest, Duration) -> Result<DispatchOutcome, DispatchError>,
-        Dispatcher::dispatch_within
     );
     pin!(
         fn(&Dispatcher, &DecisionRequest) -> Result<(DispatchOutcome, Explanation), DispatchError>,
